@@ -45,7 +45,7 @@ from .perms import (
 )
 from .series import (
     BivariateSeries,
-    IdentityCheck,
+    Check,
     IdentityReport,
     bessel_i0_series,
     binomial_egf_series,

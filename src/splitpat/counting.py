@@ -45,6 +45,8 @@ class SearchLimitError(ValueError):
 
 
 def _check_rn(r: int, n: int) -> None:
+    if type(r) is not int or type(n) is not int:
+        raise ValueError(f"need integer r and n, got r={r!r}, n={n!r}")
     if n < 0 or not 0 <= r <= n:
         raise ValueError(f"need 0 <= r <= n, got r={r}, n={n}")
 

@@ -46,7 +46,8 @@ class Permutation:
     """A permutation of {1, ..., n} in one-line notation w(1) ... w(n).
 
     Construction validates that ``values`` is a rearrangement of 1..n and
-    rejects duplicates, zeros, negatives and out-of-range entries.
+    rejects duplicates, zeros, negatives, out-of-range entries and values
+    that are not plain ints (floats and bools compare equal to ints).
 
     >>> Permutation((3, 1, 2)).w(1)
     3
@@ -59,7 +60,7 @@ class Permutation:
     def __post_init__(self) -> None:
         values = tuple(self.values)
         object.__setattr__(self, "values", values)
-        if sorted(values) != list(range(1, len(values) + 1)):
+        if not {*map(type, values)} <= {int} or sorted(values) != list(range(1, len(values) + 1)):
             raise ValueError(f"not a rearrangement of 1..{len(values)}: {values!r}")
 
     @property
@@ -93,22 +94,19 @@ def parse_permutation(text: str) -> Permutation:
     """Parse compact ("315642") or comma-separated ("3,1,5,6,4,2") notation.
 
     The compact form carries one digit per value and therefore only exists
-    for n <= 9; the comma-separated form works for any size.  The empty
-    string parses to the empty permutation.
+    for n <= 9; the comma-separated form works for any size, with optional
+    whitespace around each field.  Only ASCII digits are accepted.  The
+    empty string parses to the empty permutation.
     """
     text = text.strip()
     if not text:
         return Permutation(())
-    if "," in text:
-        try:
-            values = tuple(int(part) for part in text.split(","))
-        except ValueError:
-            raise ValueError(f"bad permutation text: {text!r}") from None
-    elif text.isdigit():
-        values = tuple(int(ch) for ch in text)
-    else:
+    # int() and str.isdigit also accept non-ASCII digits, int() also signs
+    # and underscores, so each field must be ASCII digits before conversion.
+    fields = [part.strip() for part in text.split(",")] if "," in text else list(text)
+    if not all(field.isascii() and field.isdigit() for field in fields):
         raise ValueError(f"bad permutation text: {text!r}")
-    return Permutation(values)
+    return Permutation(tuple(map(int, fields)))
 
 
 def format_permutation(w: Permutation) -> str:

@@ -5,9 +5,9 @@ A series holds a rectangular coefficient window c[r][s] for 0 <= r <= nx,
 zero: binary operations act on the intersection of the operand windows and
 equality compares there too, so a low-order truncation equals any higher
 order truncation of the same series.  The named constructors build the
-generating functions tied to the avoidance counts, and ``verify_identities``
-checks the identities linking them coefficient by coefficient with zero
-tolerance.
+generating functions tied to the avoidance counts, and one ``*_check``
+function per identity checks the identities linking them coefficient by
+coefficient with zero tolerance; ``verify_identities`` runs all of them.
 """
 
 from __future__ import annotations
@@ -34,8 +34,15 @@ __all__ = [
     "integrated_binomial_egf",
     "count_egf",
     "excess_ogf",
-    "IdentityCheck",
+    "Check",
     "IdentityReport",
+    "product_check",
+    "derivative_check",
+    "integral_check",
+    "excess_check",
+    "count_check",
+    "diagonal_check",
+    "boundary_check",
     "verify_identities",
 ]
 
@@ -333,7 +340,10 @@ def excess_ogf(nx: int, ny: int) -> BivariateSeries:
 
 
 @dataclass(frozen=True)
-class IdentityCheck:
+class Check:
+    """Verdict of one exact check: a stable key, the statement checked and
+    a detail line."""
+
     key: str
     name: str
     passed: bool
@@ -345,133 +355,111 @@ class IdentityReport:
     """Coefficient-exact verification of the series identities."""
 
     order: int
-    checks: tuple[IdentityCheck, ...]
+    checks: tuple[Check, ...]
     stated_boundary_residual: BivariateSeries
 
     @property
     def ok(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def by_key(self, *keys: str) -> tuple[IdentityCheck, ...]:
+    def by_key(self, *keys: str) -> tuple[Check, ...]:
         return tuple(c for c in self.checks if c.key in keys)
 
 
-def _compare(key: str, name: str, left: BivariateSeries, right: BivariateSeries) -> IdentityCheck:
-    if left == right:
-        nx, ny = left._common_window(right)
-        return IdentityCheck(key, name, True, f"exact on [0,{nx}]x[0,{ny}]")
-    nx, ny = left._common_window(right)
-    for r in range(nx + 1):
-        for s in range(ny + 1):
-            if left.coeff(r, s) != right.coeff(r, s):
-                return IdentityCheck(
-                    key,
-                    name,
-                    False,
-                    f"first mismatch at ({r},{s}): {left.coeff(r, s)} != {right.coeff(r, s)}",
-                )
-    raise AssertionError("unreachable")
+def _compare(
+    key: str, name: str, order: int, left: BivariateSeries, right: BivariateSeries
+) -> Check:
+    """Check left = right cell by cell on exactly the window [0, order]^2.
+    Series equality holds on the overlap of the windows only, so either
+    side on any other window fails rather than shrinking the check."""
+    expected = f"[0,{order}]x[0,{order}]"
+    windows = [f"[0,{side.nx}]x[0,{side.ny}]" for side in (left, right)]
+    if windows != [expected, expected]:
+        return Check(key, name, False, f"window {windows[0]} and {windows[1]}, expected {expected}")
+    for r, (left_row, right_row) in enumerate(zip(left.coeffs, right.coeffs)):
+        for s, (a, b) in enumerate(zip(left_row, right_row)):
+            if a != b:
+                return Check(key, name, False, f"first mismatch at ({r},{s}): {a} != {b}")
+    return Check(key, name, True, f"exact on {expected}")
 
 
-def _stated_boundary_alternative(order: int) -> BivariateSeries:
-    # The integral with boundary rows e^x and e^y instead of zero: axis
-    # coefficients 1/r! and 1/s!, both boundary rows force 1 at the origin.
-    def alt(r: int, s: int) -> Fraction:
-        if r == 0 and s == 0:
-            return Fraction(1)
-        if s == 0:
-            return Fraction(1, factorial(r))
-        if r == 0:
-            return Fraction(1, factorial(s))
-        return Fraction(binomial(r + s - 2, r - 1), factorial(r) * factorial(s))
+def _plus_one_over_unit(series: BivariateSeries) -> BivariateSeries:
+    one = BivariateSeries.constant(1, series.nx, series.ny)
+    return divide_by_unit(series + one, one_minus_x_minus_y_plus_xy(series.nx, series.ny))
 
-    return BivariateSeries.from_fn(alt, order, order)
+
+def product_check(order: int) -> Check:
+    """The binomial EGF factors as e^(x+y) times the Bessel series."""
+    product = exp_sum_series(order, order) * bessel_i0_series(order, order)
+    name = "binomial EGF = exp_sum * bessel_i0"
+    return _compare("product", name, order, binomial_egf_series(order, order), product)
+
+
+def derivative_check(order: int) -> Check:
+    """The binomial EGF is the mixed partial of its zero-boundary integral."""
+    derivative = partial_xy(integrated_binomial_egf(order + 1, order + 1))
+    name = "partial_xy(integrated binomial EGF) = binomial EGF"
+    return _compare("derivative", name, order, derivative, binomial_egf_series(order, order))
+
+
+def integral_check(order: int) -> Check:
+    """integrate_xy maps the binomial EGF to its zero-boundary integral."""
+    integral = integrate_xy(binomial_egf_series(order, order))
+    name = "integrate_xy(binomial EGF) = integrated binomial EGF"
+    return _compare("integral", name, order, integral, integrated_binomial_egf(order, order))
+
+
+def excess_check(order: int) -> Check:
+    """(1-x-y+xy) times the excess OGF is the zero-boundary integral."""
+    product = one_minus_x_minus_y_plus_xy(order, order) * excess_ogf(order, order)
+    name = "(1-x-y+xy) * excess OGF = integrated binomial EGF"
+    return _compare("excess", name, order, product, integrated_binomial_egf(order, order))
+
+
+def count_check(order: int) -> Check:
+    """(integral + 1) / (1-x-y+xy) is the count EGF."""
+    quotient = _plus_one_over_unit(integrated_binomial_egf(order, order))
+    name = "count EGF = (integrated binomial EGF + 1) / (1-x-y+xy)"
+    return _compare("count", name, order, count_egf(order, order), quotient)
+
+
+def diagonal_check(order: int) -> Check:
+    """Collapsing the binomial EGF to y = x gives the central binomial EGF."""
+    diag = diagonal_collapse(binomial_egf_series(order, order))
+    bad = next((m for m, c in enumerate(diag) if c != Fraction(comb(2 * m, m), factorial(m))), None)
+    detail = f"m <= {order}" if bad is None else f"first mismatch at m={bad}"
+    name = "diagonal of binomial EGF = central binomial EGF"
+    return Check("diagonal", name, bad is None, detail)
+
+
+def boundary_check(order: int) -> tuple[Check, BivariateSeries]:
+    """Evaluate the integral with boundary rows e^x and e^y instead of zero
+    and return the check with its residual against the count EGF.
+
+    The check passes when the residual is nonzero, so the discrepancy
+    between the two boundary conventions is documented rather than patched.
+    """
+    # e^x + e^y - 1 on the axes: 1/r! on the x axis, 1/s! on the y axis.
+    axes = BivariateSeries.from_fn(
+        lambda r, s: Fraction(1, factorial(r + s)) if r * s == 0 else 0, order, order
+    )
+    stated = _plus_one_over_unit(integrated_binomial_egf(order, order) + axes)
+    residual = stated - count_egf(order, order)
+    nonzero = sum(1 for row in residual.coeffs for c in row if c != 0)
+    name = "exponential-boundary variant leaves a nonzero residual"
+    detail = f"residual(0,0) = {residual.coeff(0, 0)}; nonzero in {nonzero} of {(order + 1) ** 2} cells"
+    return Check("boundary", name, nonzero > 0, detail), residual
 
 
 def verify_identities(order: int) -> IdentityReport:
-    """Check every series identity on the window [0, order]^2, exactly.
-
-    The checks: the binomial EGF factors as e^(x+y) times the Bessel
-    series; it is the mixed partial of its zero-boundary double integral
-    and recovers that integral under integrate_xy; multiplying the excess
-    OGF by (1-x-y+xy) gives the integral; dividing (integral + 1) by the
-    same polynomial gives the count EGF; and collapsing the binomial EGF to
-    the diagonal yields the central binomial EGF.  A final entry evaluates
-    the alternative exponential boundary choice for the integral and
-    records that its residual against the count EGF is nonzero, so the
-    discrepancy between the two boundary conventions is documented rather
-    than patched.
-    """
+    """Check every series identity on the window [0, order]^2, exactly:
+    product, derivative, integral, excess, count, diagonal and boundary
+    (see the ``*_check`` function of each)."""
     if order < 2:
         raise ValueError("order must be at least 2")
-    o = order
-    binom_egf = binomial_egf_series(o, o)
-    integral = integrated_binomial_egf(o, o)
-    denom = one_minus_x_minus_y_plus_xy(o, o)
-    one = BivariateSeries.constant(1, o, o)
-    counts = count_egf(o, o)
-
     checks = [
-        _compare(
-            "product",
-            "binomial EGF = exp_sum * bessel_i0",
-            binom_egf,
-            exp_sum_series(o, o) * bessel_i0_series(o, o),
-        ),
-        _compare(
-            "derivative",
-            "partial_xy(integrated binomial EGF) = binomial EGF",
-            partial_xy(integrated_binomial_egf(o + 1, o + 1)),
-            binom_egf,
-        ),
-        _compare(
-            "integral",
-            "integrate_xy(binomial EGF) = integrated binomial EGF",
-            integrate_xy(binom_egf),
-            integral,
-        ),
-        _compare(
-            "excess",
-            "(1-x-y+xy) * excess OGF = integrated binomial EGF",
-            denom * excess_ogf(o, o),
-            integral,
-        ),
-        _compare(
-            "count",
-            "count EGF = (integrated binomial EGF + 1) / (1-x-y+xy)",
-            counts,
-            divide_by_unit(integral + one, denom),
-        ),
+        check(order)
+        for check in (product_check, derivative_check, integral_check, excess_check, count_check, diagonal_check)
     ]
-
-    diag = diagonal_collapse(binom_egf)
-    bad = [
-        m for m in range(o + 1) if diag[m] != Fraction(comb(2 * m, m), factorial(m))
-    ]
-    checks.append(
-        IdentityCheck(
-            "diagonal",
-            "diagonal of binomial EGF = central binomial EGF",
-            not bad,
-            f"m <= {o}" if not bad else f"first mismatch at m={bad[0]}",
-        )
-    )
-
-    residual = divide_by_unit(_stated_boundary_alternative(o) + one, denom) - counts
-    nonzero = sum(
-        1
-        for r in range(o + 1)
-        for s in range(o + 1)
-        if residual.coeff(r, s) != 0
-    )
-    checks.append(
-        IdentityCheck(
-            "boundary",
-            "exponential-boundary variant leaves a nonzero residual",
-            nonzero > 0,
-            f"residual(0,0) = {residual.coeff(0, 0)}; "
-            f"nonzero in {nonzero} of {(o + 1) ** 2} cells",
-        )
-    )
-
-    return IdentityReport(order=o, checks=tuple(checks), stated_boundary_residual=residual)
+    boundary, residual = boundary_check(order)
+    return IdentityReport(order, (*checks, boundary), residual)

@@ -5,12 +5,13 @@ not a tolerance issue."""
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from itertools import chain
 from math import factorial
+from typing import Callable
 
 from .counting import (
     DEFAULT_SEARCH_LIMIT,
-    SearchLimitError,
+    _check_limit,
     avoider_count,
     avoider_count_by_peeling,
     binomial,
@@ -24,27 +25,24 @@ from .counting import (
 from .perms import Permutation, remove_max, rotate180
 from .series import (
     BivariateSeries,
+    Check,
     bessel_i0_series,
     binomial_egf_series,
+    boundary_check,
+    count_check,
     count_egf,
+    derivative_check,
+    diagonal_check,
+    excess_check,
     excess_ogf,
     exp_sum_series,
     geometric_series,
+    integral_check,
     integrated_binomial_egf,
-    verify_identities,
+    product_check,
 )
 
-__all__ = ["Check", "TARGETS", "run_target"]
-
-TARGETS = ("main2", "bessel", "recursion", "symmetry", "fibers", "oracle", "all")
-
-
-@dataclass(frozen=True)
-class Check:
-    key: str
-    name: str
-    passed: bool
-    detail: str = ""
+__all__ = ["Check", "REGISTRY", "TARGETS", "run_target"]
 
 
 def oracle_checks(n_max: int, limit: int = DEFAULT_SEARCH_LIMIT) -> list[Check]:
@@ -187,6 +185,38 @@ def recursion_checks(order: int) -> list[Check]:
     ]
 
 
+# A suite maps (order, n_max, limit) to its checks and, for the boundary
+# identity alone, the residual series.
+_Suite = Callable[[int, int, int], tuple[list[Check], BivariateSeries | None]]
+
+
+def _identities(*identities: Callable[[int], Check]) -> _Suite:
+    return lambda order, n_max, limit: ([check(order) for check in identities], None)
+
+
+def _boundary(order: int, n_max: int, limit: int) -> tuple[list[Check], BivariateSeries]:
+    check, residual = boundary_check(order)
+    return [check], residual
+
+
+# Each target's suites in output order; a target computes only these.  The
+# lambdas look the suite functions up when they run, so rebinding a module
+# attribute (as a tracer does) reaches every target.
+REGISTRY: dict[str, tuple[_Suite, ...]] = {
+    "oracle": (lambda order, n_max, limit: (oracle_checks(n_max, limit=limit), None),),
+    "fibers": (lambda order, n_max, limit: (structure_checks(n_max, limit=limit), None),),
+    "symmetry": (lambda order, n_max, limit: (symmetry_checks(order), None),),
+    "recursion": (lambda order, n_max, limit: (recursion_checks(order), None),),
+    "bessel": (_identities(product_check, diagonal_check),),
+    "main2": (_identities(derivative_check, integral_check, excess_check, count_check), _boundary),
+}
+REGISTRY["all"] = tuple(chain.from_iterable(REGISTRY.values()))
+TARGETS = tuple(REGISTRY)
+
+# Suites that sweep S_n and so fall under the exhaustive-search guard.
+_EXHAUSTIVE = {*REGISTRY["oracle"], *REGISTRY["fibers"]}
+
+
 def run_target(
     target: str,
     order: int = 12,
@@ -196,41 +226,18 @@ def run_target(
     """Run one verification target and return its checks plus, for the
     targets that compute it, the residual of the alternative exponential
     boundary choice."""
-    if target not in TARGETS:
+    if target not in REGISTRY:
         raise ValueError(f"unknown target {target!r}")
-    if target in ("oracle", "fibers", "all") and n_max > limit:
+    suites = REGISTRY[target]
+    if _EXHAUSTIVE.intersection(suites):
         # Refuse up front instead of grinding through the sizes below the cap.
-        raise SearchLimitError(
-            f"exhaustive search over S_{n_max} exceeds the guard ({limit}); "
-            f"raise the limit explicitly to proceed"
-        )
+        _check_limit(n_max, limit)
 
     checks: list[Check] = []
     residual: BivariateSeries | None = None
-
-    ident = None
-    if target in ("bessel", "main2", "all"):
-        ident = verify_identities(order)
-
-    if target in ("oracle", "all"):
-        checks.extend(oracle_checks(n_max, limit=limit))
-    if target in ("fibers", "all"):
-        checks.extend(structure_checks(n_max, limit=limit))
-    if target in ("symmetry", "all"):
-        checks.extend(symmetry_checks(order))
-    if target in ("recursion", "all"):
-        checks.extend(recursion_checks(order))
-    if ident is not None:
-        if target in ("bessel", "all"):
-            checks.extend(
-                Check(c.key, c.name, c.passed, c.detail)
-                for c in ident.by_key("product", "diagonal")
-            )
-        if target in ("main2", "all"):
-            checks.extend(
-                Check(c.key, c.name, c.passed, c.detail)
-                for c in ident.by_key("derivative", "integral", "excess", "count", "boundary")
-            )
-            residual = ident.stated_boundary_residual
-
+    for suite in suites:
+        found, suite_residual = suite(order, n_max, limit)
+        checks.extend(found)
+        if suite_residual is not None:
+            residual = suite_residual
     return checks, residual

@@ -1,9 +1,15 @@
 import json
+from pathlib import Path
 
 import pytest
 
+import splitpat.series
+import splitpat.verify
 from splitpat.cli import main
+from splitpat.verify import run_target
 from support import TABLE1
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -211,6 +217,29 @@ class TestVerify:
     def test_guard_exceeded(self, capsys):
         code, _, _ = run(capsys, "verify", "--target", "oracle", "--n-max", "11", "--order", "4")
         assert code == 3
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize(
+        "target", ["oracle", "fibers", "symmetry", "recursion", "bessel", "main2", "all"]
+    )
+    def test_golden_output(self, capsys, target, fmt):
+        argv = ["verify", "--target", target, "--order", "4", "--n-max", "4", "--format", fmt]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out.encode() == (GOLDEN / f"verify-{target}.{fmt}").read_bytes()
+
+    @pytest.mark.parametrize(
+        "target, unused", [("main2", "exp_sum_series"), ("bessel", "divide_by_unit")]
+    )
+    def test_target_builds_only_its_series(self, monkeypatch, target, unused):
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"target {target} called {unused}")
+
+        for module in (splitpat.series, splitpat.verify):
+            if hasattr(module, unused):
+                monkeypatch.setattr(module, unused, refuse)
+        checks, _ = run_target(target, order=4)
+        assert checks and all(c.passed for c in checks)
 
 
 class TestUsage:

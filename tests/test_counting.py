@@ -83,6 +83,10 @@ class TestClosedForm:
             avoider_count(3, 2)
         with pytest.raises(ValueError):
             avoider_count(-1, 2)
+        with pytest.raises(ValueError):
+            avoider_count(True, 2)
+        with pytest.raises(ValueError):
+            avoider_count(1, 2.0)
 
 
 class TestMaxLeftCount:

@@ -48,7 +48,8 @@ class TestPermutation:
         assert Permutation(()).n == 0
 
     @pytest.mark.parametrize(
-        "values", [(1, 1), (0,), (2,), (1, 3), (-1, 1), (2, 2, 1)]
+        "values",
+        [(1, 1), (0,), (2,), (1, 3), (-1, 1), (2, 2, 1), (1.0, 2.0), (True,), (2, True)],
     )
     def test_rejects_non_rearrangements(self, values):
         with pytest.raises(ValueError):
@@ -85,7 +86,10 @@ class TestTextFormat:
         assert parse_permutation("") == Permutation(())
         assert str(Permutation(())) == ""
 
-    @pytest.mark.parametrize("text", ["31x", "1,2,a", "0", "1,1"])
+    @pytest.mark.parametrize(
+        "text",
+        ["31x", "1,2,a", "0", "1,1", "１２", "1,２", "1,2,3,4,5,6,7,8,9,1_0", "1,+2"],
+    )
     def test_rejects_garbage(self, text):
         with pytest.raises(ValueError):
             parse_permutation(text)

@@ -21,6 +21,7 @@ from splitpat import (
     partial_xy,
     verify_identities,
 )
+from splitpat.series import _compare
 
 small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=12)
 
@@ -288,6 +289,32 @@ class TestVerifyIdentities:
         assert all(
             residual.coeff(r, s) != 0 for r in range(5) for s in range(5)
         )
+
+    @pytest.mark.parametrize(
+        "left, right, detail",
+        [
+            (
+                BivariateSeries.constant(1, 0, 0),
+                geometric_series(5, 5),
+                "window [0,0]x[0,0] and [0,5]x[0,5], expected [0,5]x[0,5]",
+            ),
+            (
+                geometric_series(5, 5),
+                geometric_series(6, 6),
+                "window [0,5]x[0,5] and [0,6]x[0,6], expected [0,5]x[0,5]",
+            ),
+            (
+                geometric_series(5, 5),
+                BivariateSeries.constant(1, 5, 5),
+                "first mismatch at (0,1): 1 != 0",
+            ),
+        ],
+        ids=["short-left", "long-right", "mismatch"],
+    )
+    def test_compare_fails_off_the_expected_window(self, left, right, detail):
+        check = _compare("key", "name", 5, left, right)
+        assert not check.passed
+        assert check.detail == detail
 
     def test_boundary_check_is_documentation_not_a_patch(self):
         report = verify_identities(3)
