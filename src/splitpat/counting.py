@@ -102,10 +102,13 @@ def avoider_count(r: int, n: int) -> int:
     total = factorial(r) * factorial(n - r)
     ff_left = 1  # (r)_{i-1}
     for i in range(1, r + 1):
+        inner = 0
         ff_right = 1  # (n-r)_{j-1}
         for j in range(1, n - r + 1):
-            total += binomial(n - i - j, r - i) * ff_left * ff_right
+            # 0 <= r - i <= n - i - j on this range, so comb needs no guard.
+            inner += comb(n - i - j, r - i) * ff_right
             ff_right *= n - r - j + 1
+        total += inner * ff_left
         ff_left *= r - i + 1
     return total
 

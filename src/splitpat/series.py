@@ -60,7 +60,7 @@ class BivariateSeries:
     coeffs: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self) -> None:
-        rows = tuple(tuple(Fraction(c) for c in row) for row in self.coeffs)
+        rows = tuple(tuple(c if type(c) is Fraction else Fraction(c) for c in row) for row in self.coeffs)
         if not rows or not rows[0]:
             raise ValueError("coefficient window must be nonempty")
         if any(len(row) != len(rows[0]) for row in rows):
@@ -151,20 +151,17 @@ class BivariateSeries:
         if not isinstance(other, BivariateSeries):
             return NotImplemented
         nx, ny = self._common_window(other)
-        a, b = self.coeffs, other.coeffs
-        rows = []
-        for r in range(nx + 1):
-            row = []
-            for s in range(ny + 1):
-                acc = Fraction(0)
-                for p in range(r + 1):
-                    ap = a[p]
-                    for q in range(s + 1):
-                        if ap[q]:
-                            acc += ap[q] * b[r - p][s - q]
-                row.append(acc)
-            rows.append(tuple(row))
-        return BivariateSeries(tuple(rows))
+        # Multiply only nonzero pairs of cells: the Bessel series and the
+        # polynomial (1-x)(1-y) are sparse, and zero cells add nothing.
+        acc = [[Fraction(0)] * (ny + 1) for _ in range(nx + 1)]
+        right = _terms(other, nx, ny)
+        for p, q, a in _terms(self, nx, ny):
+            for u, v, b in right:
+                if p + u > nx:
+                    break
+                if q + v <= ny:
+                    acc[p + u][q + v] += a * b
+        return BivariateSeries(tuple(tuple(row) for row in acc))
 
     __rmul__ = __mul__
 
@@ -204,6 +201,12 @@ class BivariateSeries:
         )
 
 
+def _terms(series: BivariateSeries, nx: int, ny: int) -> list[tuple[int, int, Fraction]]:
+    """The nonzero cells (r, s, c) of series within [0,nx] x [0,ny], in
+    row-major order."""
+    return [(r, s, c) for r, row in enumerate(series.coeffs[: nx + 1]) for s, c in enumerate(row[: ny + 1]) if c]
+
+
 def divide_by_unit(num: BivariateSeries, den: BivariateSeries) -> BivariateSeries:
     """Quotient Q with Q * den = num on the common window.
 
@@ -215,18 +218,14 @@ def divide_by_unit(num: BivariateSeries, den: BivariateSeries) -> BivariateSerie
     if d0 == 0:
         raise ZeroDivisionError("denominator has zero constant term")
     nx, ny = num._common_window(den)
-    d = den.coeffs
+    rest = [(u, v, c) for u, v, c in _terms(den, nx, ny) if u or v]
     q: list[list[Fraction]] = [[Fraction(0)] * (ny + 1) for _ in range(nx + 1)]
     for r in range(nx + 1):
         for s in range(ny + 1):
             acc = num.coeffs[r][s]
-            for p in range(r + 1):
-                qp = q[p]
-                for t in range(s + 1):
-                    if (p, t) != (r, s) and qp[t]:
-                        dc = d[r - p][s - t]
-                        if dc:
-                            acc -= qp[t] * dc
+            for u, v, c in rest:
+                if u <= r and v <= s:
+                    acc -= q[r - u][s - v] * c
             q[r][s] = acc / d0
     return BivariateSeries(tuple(tuple(row) for row in q))
 

@@ -83,6 +83,18 @@ class TestSeriesBasics:
         y = BivariateSeries.from_terms({(0, 1): 1}, 3, 3)
         assert x * y == BivariateSeries.from_terms({(1, 1): 1}, 3, 3)
 
+    @given(small_series(), small_series())
+    def test_mul_is_the_convolution_on_the_common_window(self, a, b):
+        product = a * b
+        nx, ny = min(a.nx, b.nx), min(a.ny, b.ny)
+        assert (product.nx, product.ny) == (nx, ny)
+        for r in range(nx + 1):
+            for s in range(ny + 1):
+                assert product.coeff(r, s) == sum(
+                    (a.coeff(p, q) * b.coeff(r - p, s - q) for p in range(r + 1) for q in range(s + 1)),
+                    Fraction(0),
+                )
+
     def test_exp_square_doubles_the_rate(self):
         e = exp_sum_series(3, 3)
         assert (e * e).coeff(1, 0) == 2  # e^(2(x+y))
