@@ -35,7 +35,7 @@ __all__ = [
     "build_count_table",
 ]
 
-# 10! permutations, each scanned in cubic time, is the practical ceiling for
+# 10! permutations, each tested in linear time, is the practical ceiling for
 # a desk machine; larger sizes must be requested explicitly.
 DEFAULT_SEARCH_LIMIT = 10
 

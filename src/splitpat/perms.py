@@ -116,6 +116,12 @@ def format_permutation(w: Permutation) -> str:
     return ",".join(str(v) for v in w.values)
 
 
+def _check_int(name: str, value: int, lo: int, hi: int) -> None:
+    # Floats and bools compare equal to ints, so the type itself is tested.
+    if type(value) is not int or not lo <= value <= hi:
+        raise ValueError(f"{name} must be an int in {lo}..{hi}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SplitPattern:
     """A pattern permutation together with the split index 0 <= j <= k."""
@@ -124,8 +130,7 @@ class SplitPattern:
     split: int
 
     def __post_init__(self) -> None:
-        if not 0 <= self.split <= self.pattern.n:
-            raise ValueError(f"split {self.split} outside 0..{self.pattern.n}")
+        _check_int("split", self.split, 0, self.pattern.n)
 
     def __str__(self) -> str:
         digits = [str(v) for v in self.pattern.values]
@@ -151,11 +156,6 @@ class PatternWitness:
             raise ValueError(f"indices must be strictly increasing and >= 1: {indices!r}")
 
 
-def _check_position(r: int, n: int) -> None:
-    if not 0 <= r <= n:
-        raise ValueError(f"position r={r} outside 0..{n}")
-
-
 def contains_split(
     w: Permutation, pattern: SplitPattern, r: int
 ) -> PatternWitness | None:
@@ -173,7 +173,7 @@ def contains_split(
     >>> contains_split(Permutation((3, 1, 5, 6, 4, 2)), PATTERN_3_12, 3) is None
     True
     """
-    _check_position(r, w.n)
+    _check_int("position r", r, 0, w.n)
     u = pattern.pattern.values
     j = pattern.split
     k = len(u)
@@ -204,37 +204,34 @@ def contains_split(
     return None
 
 
-def _contains_3_12(vals: tuple[int, ...], r: int) -> bool:
-    # 0-based witness a < r <= b < c with vals[b] < vals[c] < vals[a].
-    # Must agree with contains_split(w, PATTERN_3_12, r); tested exhaustively.
-    n = len(vals)
-    for b in range(r, n - 1):
-        vb = vals[b]
-        for c in range(b + 1, n):
-            vc = vals[c]
-            if vb < vc:
-                for a in range(r):
-                    if vals[a] > vc:
-                        return True
-    return False
-
-
-def _contains_23_1(vals: tuple[int, ...], r: int) -> bool:
-    # 0-based witness a < b < r <= c with vals[c] < vals[a] < vals[b].
-    n = len(vals)
-    for a in range(r - 1):
-        va = vals[a]
-        for b in range(a + 1, r):
-            if va < vals[b]:
-                for c in range(r, n):
-                    if vals[c] < va:
-                        return True
-    return False
-
-
 def _avoids(vals: tuple[int, ...], r: int) -> bool:
-    """Raw-tuple avoidance test used by the brute-force sweeps."""
-    return not _contains_3_12(vals, r) and not _contains_23_1(vals, r)
+    """Raw-tuple avoidance test used by the brute-force sweeps.
+
+    w contains 3|12 at r iff two right-block values below max(left block)
+    ascend, and contains 23|1 at r iff two left-block values above
+    min(right block) ascend.  So w avoids both iff each of those two
+    subsequences is decreasing, which one pass over each block decides.
+    Must agree with ``contains_split`` on both patterns; tested
+    exhaustively for small n and by a property test beyond.
+    """
+    n = len(vals)
+    if not 0 < r < n:
+        return True
+    left, right = vals[:r], vals[r:]
+    top = last = max(left)
+    for v in right:
+        if v < top:
+            if v > last:
+                return False
+            last = v
+    bottom = min(right)
+    last = n + 1
+    for v in left:
+        if v > bottom:
+            if v > last:
+                return False
+            last = v
+    return True
 
 
 def is_avoider(w: Permutation, r: int) -> bool:
@@ -243,7 +240,7 @@ def is_avoider(w: Permutation, r: int) -> bool:
     Avoidance at r = 0 and r = n is universal: the split constraint leaves
     no room for the block on the short side of the divider.
     """
-    _check_position(r, w.n)
+    _check_int("position r", r, 0, w.n)
     return _avoids(w.values, r)
 
 
@@ -255,20 +252,19 @@ def is_fiber_bundle(w: Permutation, r: int) -> bool:
     geometric meaning.  Requires 1 <= r <= n since the projection needs a
     proper rank.
     """
-    if not 1 <= r <= w.n:
-        raise ValueError(f"position r={r} outside 1..{w.n}")
+    _check_int("position r", r, 1, w.n)
     return _avoids(w.values, r)
 
 
 def left_values(w: Permutation, r: int) -> set[int]:
     """Values appearing at positions <= r."""
-    _check_position(r, w.n)
+    _check_int("position r", r, 0, w.n)
     return set(w.values[:r])
 
 
 def right_values(w: Permutation, r: int) -> set[int]:
     """Values appearing at positions > r."""
-    _check_position(r, w.n)
+    _check_int("position r", r, 0, w.n)
     return set(w.values[r:])
 
 
@@ -291,8 +287,7 @@ def insert_max(w: Permutation, pos: int) -> Permutation:
     >>> str(insert_max(parse_permutation("43215"), 4))
     '432615'
     """
-    if not 1 <= pos <= w.n + 1:
-        raise ValueError(f"position {pos} outside 1..{w.n + 1}")
+    _check_int("position pos", pos, 1, w.n + 1)
     vals = w.values
     return Permutation(vals[: pos - 1] + (w.n + 1,) + vals[pos - 1 :])
 
@@ -319,8 +314,6 @@ def rank_function(w: Permutation, i: int, j: int) -> int:
     of w.
     """
     n = w.n
-    if not 0 <= i <= n:
-        raise ValueError(f"value bound i={i} outside 0..{n}")
-    if not 0 <= j <= n:
-        raise ValueError(f"position bound j={j} outside 0..{n}")
+    _check_int("value bound i", i, 0, n)
+    _check_int("position bound j", j, 0, n)
     return sum(1 for v in w.values[:j] if v <= i)

@@ -20,7 +20,6 @@ from .counting import (
     enumerate_avoiders,
     falling_factorial,
     max_left_avoider_count,
-    partition_by_smallest_right,
 )
 from .perms import Permutation, remove_max, rotate180
 from .series import (
@@ -114,13 +113,11 @@ def structure_checks(n_max: int, limit: int = DEFAULT_SEARCH_LIMIT) -> list[Chec
                     peel_left_detail = f"max-left peel leaves the class at (r,n)=({r},{n})"
 
             if 1 <= r < n:
-                groups = partition_by_smallest_right(r, n, limit=limit)
-                sizes_ok = set(groups) == set(range(1, r + 1)) and all(
-                    len(groups[i])
-                    == binomial(n - i - 1, r - i) * falling_factorial(r, i - 1)
-                    for i in groups
-                )
-                if not sizes_ok or sum(len(g) for g in groups.values()) != len(max_left):
+                sizes = Counter(min(w.values[r:]) for w in max_left)
+                if sizes != {
+                    i: binomial(n - i - 1, r - i) * falling_factorial(r, i - 1)
+                    for i in range(1, r + 1)
+                }:
                     partition_ok = False
                     partition_detail = f"partition sizes wrong at (r,n)=({r},{n})"
 

@@ -33,6 +33,25 @@ def perm_and_position(draw, max_n=8):
     return Permutation(vals), r
 
 
+@st.composite
+def long_perm_and_position(draw):
+    """Permutations up to n = 40 with 0 < r < n, about half of them
+    avoiders: both forced runs (right-block values below the left maximum,
+    left-block values above the right minimum) are rearranged into
+    decreasing order, or one of them, or neither.  The r = 0 and r = n
+    ends are covered by the exhaustive tests."""
+    n = draw(st.integers(2, 40))
+    vals = draw(st.permutations(range(1, n + 1)))
+    r = draw(st.integers(1, n - 1))
+    top, bottom = max(vals[:r]), min(vals[r:])
+    right = [p for p in range(r, n) if vals[p] < top]
+    left = [p for p in range(r) if vals[p] > bottom]
+    for run in draw(st.sampled_from([(right, left), (right,), (left,), ()])):
+        for p, v in zip(run, sorted((vals[p] for p in run), reverse=True)):
+            vals[p] = v
+    return Permutation(vals), r
+
+
 def all_perms(n):
     return [Permutation(vals) for vals in iter_perms(range(1, n + 1))]
 
@@ -109,6 +128,10 @@ class TestSplitPattern:
             SplitPattern(Permutation((1, 2)), 3)
         with pytest.raises(ValueError):
             SplitPattern(Permutation((1, 2)), -1)
+        with pytest.raises(ValueError):
+            SplitPattern(Permutation((1, 2)), True)
+        with pytest.raises(ValueError):
+            SplitPattern(Permutation((1, 2)), 1.0)
 
     def test_witness_indices_must_increase(self):
         with pytest.raises(ValueError):
@@ -139,6 +162,16 @@ class TestContainsSplit:
             contains_split(w, PATTERN_3_12, 4)
         with pytest.raises(ValueError):
             contains_split(w, PATTERN_3_12, -1)
+        # Bools and floats compare equal to ints but are not positions.
+        with pytest.raises(ValueError):
+            contains_split(w, PATTERN_23_1, True)
+        for check in (is_avoider, is_fiber_bundle, left_values, right_values):
+            with pytest.raises(ValueError):
+                check(w, 1.5)
+            with pytest.raises(ValueError):
+                check(w, 2.0)
+            with pytest.raises(ValueError):
+                check(w, True)
 
     def test_312_has_unique_witness(self):
         w = parse_permutation("312")
@@ -211,6 +244,15 @@ class TestAvoiderPredicate:
                     )
                     assert is_avoider(w, r) == expected
 
+    @given(long_perm_and_position())
+    def test_matches_contains_split_beyond_exhaustive_range(self, wr):
+        w, r = wr
+        expected = (
+            contains_split(w, PATTERN_3_12, r) is None
+            and contains_split(w, PATTERN_23_1, r) is None
+        )
+        assert is_avoider(w, r) == expected
+
     def test_avoidance_universal_at_ends(self):
         for n in range(8):
             for w in all_perms(n):
@@ -276,6 +318,10 @@ class TestStructuralMaps:
             insert_max(parse_permutation("21"), 0)
         with pytest.raises(ValueError):
             insert_max(parse_permutation("21"), 4)
+        with pytest.raises(ValueError):
+            insert_max(parse_permutation("21"), 2.0)
+        with pytest.raises(ValueError):
+            insert_max(parse_permutation("21"), True)
 
     @given(perm_and_position())
     def test_insert_then_remove_round_trip(self, wr):
@@ -345,6 +391,10 @@ class TestRankFunction:
             rank_function(w, 3, 1)
         with pytest.raises(ValueError):
             rank_function(w, 1, -1)
+        with pytest.raises(ValueError):
+            rank_function(w, 1.5, 1)
+        with pytest.raises(ValueError):
+            rank_function(w, 1, True)
 
     @given(perm_and_position())
     def test_monotone(self, wr):
