@@ -13,9 +13,9 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from math import comb, factorial
+from math import comb, factorial, inf
 
-from .perms import Permutation, _avoids
+from .perms import Permutation, _avoids, _check_int
 
 __all__ = [
     "DEFAULT_SEARCH_LIMIT",
@@ -67,8 +67,8 @@ def falling_factorial(m: int, i: int) -> int:
     >>> falling_factorial(3, 5)
     0
     """
-    if i < 0:
-        raise ValueError("falling factorial needs a nonnegative length")
+    _check_int("m", m, -inf, inf)
+    _check_int("length i", i, 0, inf)
     out = 1
     for t in range(i):
         out *= m - t
@@ -81,8 +81,8 @@ def binomial(n: int, k: int) -> int:
     The top argument must be nonnegative; no generalized-binomial extension
     is offered because none of the closed forms here ever needs one.
     """
-    if n < 0:
-        raise ValueError("binomial needs a nonnegative top argument")
+    _check_int("top argument n", n, 0, inf)
+    _check_int("k", k, -inf, inf)
     if k < 0 or k > n:
         return 0
     return comb(n, k)
@@ -119,8 +119,8 @@ def max_left_avoider_count(r: int, n: int) -> int:
     Closed form for 1 <= r < n; for r = n every permutation of S_n
     qualifies, giving n!.
     """
-    if not 1 <= r <= n:
-        raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
+    _check_int("n", n, 1, inf)
+    _check_int("r", r, 1, n)
     if r == n:
         return factorial(r)
     total = 0
@@ -138,8 +138,8 @@ def avoider_count_by_peeling(r: int, n: int) -> int:
     reinsert) or ends in a max-left count; summing the resulting telescope
     must reproduce ``avoider_count`` for every 1 <= r <= n.
     """
-    if not 1 <= r <= n:
-        raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
+    _check_int("n", n, 1, inf)
+    _check_int("r", r, 1, n)
     total = 0
     ff = 1  # (n-r)_j
     for j in range(0, n - r + 1):
@@ -226,25 +226,23 @@ def check_excess_recursion(r_max: int, s_max: int) -> RecursionReport:
 
         e(r,s) = e(r,s-1) + e(r-1,s) - e(r-1,s-1) + C(r+s-2, r-1)/(r! s!)
 
-    exactly over rationals.  Violations are report content, not errors.
+    exactly.  Multiplied by r! s!, with K(r,s) = avoider_count(r, r+s) =
+    r! s! (e(r,s) + 1), the -1 terms cancel and the recursion becomes the
+    integer identity
+
+        K(r,s) = s K(r,s-1) + r K(r-1,s) - r s K(r-1,s-1) + C(r+s-2, r-1),
+
+    which fails at exactly the same cells and is what gets tested.
+    Violations are report content, not errors.
     """
-    if r_max < 1 or s_max < 1:
-        raise ValueError("bounds must be at least 1")
-    excess = {
-        (r, s): normalized_excess(r, s)
-        for r in range(r_max + 1)
-        for s in range(s_max + 1)
-    }
+    _check_int("r_max", r_max, 1, inf)
+    _check_int("s_max", s_max, 1, inf)
+    k = {(r, s): avoider_count(r, r + s) for r in range(r_max + 1) for s in range(s_max + 1)}
     violations = []
     for r in range(1, r_max + 1):
         for s in range(1, s_max + 1):
-            expected = (
-                excess[(r, s - 1)]
-                + excess[(r - 1, s)]
-                - excess[(r - 1, s - 1)]
-                + Fraction(binomial(r + s - 2, r - 1), factorial(r) * factorial(s))
-            )
-            if excess[(r, s)] != expected:
+            expected = s * k[(r, s - 1)] + r * k[(r - 1, s)] - r * s * k[(r - 1, s - 1)] + comb(r + s - 2, r - 1)
+            if k[(r, s)] != expected:
                 violations.append((r, s))
     return RecursionReport(r_max, s_max, tuple(violations))
 
@@ -289,8 +287,7 @@ class CountTable:
 
 def build_count_table(n_max: int) -> CountTable:
     """Closed-form counts for all 0 <= r <= n <= n_max."""
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
+    _check_int("n_max", n_max, 1, inf)
     entries = {
         (r, n): avoider_count(r, n)
         for n in range(n_max + 1)

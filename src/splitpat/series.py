@@ -5,9 +5,12 @@ A series holds a rectangular coefficient window c[r][s] for 0 <= r <= nx,
 zero: binary operations act on the intersection of the operand windows and
 equality compares there too, so a low-order truncation equals any higher
 order truncation of the same series.  The named constructors build the
-generating functions tied to the avoidance counts, and one ``*_check``
-function per identity checks the identities linking them coefficient by
-coefficient with zero tolerance; ``verify_identities`` runs all of them.
+generating functions tied to the avoidance counts.  Two functions check the
+identities linking them coefficient by coefficient with zero tolerance, one
+per group of identities, each building every series it needs once:
+``bessel_checks`` (the Bessel factorization of the binomial EGF and its
+diagonal) and ``main2_checks`` (the count EGF and its companions);
+``verify_identities`` runs both.
 """
 
 from __future__ import annotations
@@ -15,10 +18,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, inf
 from typing import Callable, Mapping
 
 from .counting import avoider_count, binomial, normalized_excess
+from .perms import _check_int
 
 __all__ = [
     "BivariateSeries",
@@ -36,13 +40,8 @@ __all__ = [
     "excess_ogf",
     "Check",
     "IdentityReport",
-    "product_check",
-    "derivative_check",
-    "integral_check",
-    "excess_check",
-    "count_check",
-    "diagonal_check",
-    "boundary_check",
+    "bessel_checks",
+    "main2_checks",
     "verify_identities",
 ]
 
@@ -382,83 +381,71 @@ def _compare(
     return Check(key, name, True, f"exact on {expected}")
 
 
-def _plus_one_over_unit(series: BivariateSeries) -> BivariateSeries:
-    one = BivariateSeries.constant(1, series.nx, series.ny)
-    return divide_by_unit(series + one, one_minus_x_minus_y_plus_xy(series.nx, series.ny))
-
-
-def product_check(order: int) -> Check:
-    """The binomial EGF factors as e^(x+y) times the Bessel series."""
+def bessel_checks(order: int) -> list[Check]:
+    """The Bessel factorization on the window [0, order]^2: the binomial EGF
+    is e^(x+y) times the Bessel series (``product``), and collapsing it to
+    y = x gives the central binomial EGF (``diagonal``)."""
+    binomial_egf = binomial_egf_series(order, order)
     product = exp_sum_series(order, order) * bessel_i0_series(order, order)
-    name = "binomial EGF = exp_sum * bessel_i0"
-    return _compare("product", name, order, binomial_egf_series(order, order), product)
-
-
-def derivative_check(order: int) -> Check:
-    """The binomial EGF is the mixed partial of its zero-boundary integral."""
-    derivative = partial_xy(integrated_binomial_egf(order + 1, order + 1))
-    name = "partial_xy(integrated binomial EGF) = binomial EGF"
-    return _compare("derivative", name, order, derivative, binomial_egf_series(order, order))
-
-
-def integral_check(order: int) -> Check:
-    """integrate_xy maps the binomial EGF to its zero-boundary integral."""
-    integral = integrate_xy(binomial_egf_series(order, order))
-    name = "integrate_xy(binomial EGF) = integrated binomial EGF"
-    return _compare("integral", name, order, integral, integrated_binomial_egf(order, order))
-
-
-def excess_check(order: int) -> Check:
-    """(1-x-y+xy) times the excess OGF is the zero-boundary integral."""
-    product = one_minus_x_minus_y_plus_xy(order, order) * excess_ogf(order, order)
-    name = "(1-x-y+xy) * excess OGF = integrated binomial EGF"
-    return _compare("excess", name, order, product, integrated_binomial_egf(order, order))
-
-
-def count_check(order: int) -> Check:
-    """(integral + 1) / (1-x-y+xy) is the count EGF."""
-    quotient = _plus_one_over_unit(integrated_binomial_egf(order, order))
-    name = "count EGF = (integrated binomial EGF + 1) / (1-x-y+xy)"
-    return _compare("count", name, order, count_egf(order, order), quotient)
-
-
-def diagonal_check(order: int) -> Check:
-    """Collapsing the binomial EGF to y = x gives the central binomial EGF."""
-    diag = diagonal_collapse(binomial_egf_series(order, order))
+    diag = diagonal_collapse(binomial_egf)
     bad = next((m for m, c in enumerate(diag) if c != Fraction(comb(2 * m, m), factorial(m))), None)
-    detail = f"m <= {order}" if bad is None else f"first mismatch at m={bad}"
-    name = "diagonal of binomial EGF = central binomial EGF"
-    return Check("diagonal", name, bad is None, detail)
+    return [
+        _compare("product", "binomial EGF = exp_sum * bessel_i0", order, binomial_egf, product),
+        Check(
+            "diagonal",
+            "diagonal of binomial EGF = central binomial EGF",
+            bad is None,
+            f"m <= {order}" if bad is None else f"first mismatch at m={bad}",
+        ),
+    ]
 
 
-def boundary_check(order: int) -> tuple[Check, BivariateSeries]:
-    """Evaluate the integral with boundary rows e^x and e^y instead of zero
-    and return the check with its residual against the count EGF.
+def main2_checks(order: int) -> tuple[list[Check], BivariateSeries]:
+    """The count EGF K = (L + 1) / (1-x-y+xy) on the window [0, order]^2,
+    where L is the zero-boundary double integral of the binomial EGF.
 
-    The check passes when the residual is nonzero, so the discrepancy
-    between the two boundary conventions is documented rather than patched.
+    Checks that L is the integral (``integral``) and has the binomial EGF as
+    mixed partial (``derivative``), that (1-x-y+xy) times the excess OGF is
+    L (``excess``) and the closed form of K (``count``).  The ``boundary``
+    check evaluates the fraction with boundary rows e^x and e^y instead of
+    zero and passes when its residual against K, which is returned too, is
+    nonzero: the discrepancy between the two conventions is documented
+    rather than patched.
     """
+    binomial_egf = binomial_egf_series(order, order)
+    integrated = integrated_binomial_egf(order, order)
+    unit = one_minus_x_minus_y_plus_xy(order, order)
+    counts = count_egf(order, order)
+    one = BivariateSeries.constant(1, order, order)
+    derivative = partial_xy(integrated_binomial_egf(order + 1, order + 1))
+    integral = integrate_xy(binomial_egf)
+    excess = unit * excess_ogf(order, order)
+    quotient = divide_by_unit(integrated + one, unit)
     # e^x + e^y - 1 on the axes: 1/r! on the x axis, 1/s! on the y axis.
     axes = BivariateSeries.from_fn(
         lambda r, s: Fraction(1, factorial(r + s)) if r * s == 0 else 0, order, order
     )
-    stated = _plus_one_over_unit(integrated_binomial_egf(order, order) + axes)
-    residual = stated - count_egf(order, order)
+    residual = divide_by_unit(integrated + axes + one, unit) - counts
     nonzero = sum(1 for row in residual.coeffs for c in row if c != 0)
-    name = "exponential-boundary variant leaves a nonzero residual"
-    detail = f"residual(0,0) = {residual.coeff(0, 0)}; nonzero in {nonzero} of {(order + 1) ** 2} cells"
-    return Check("boundary", name, nonzero > 0, detail), residual
+    checks = [
+        _compare("derivative", "partial_xy(integrated binomial EGF) = binomial EGF", order, derivative, binomial_egf),
+        _compare("integral", "integrate_xy(binomial EGF) = integrated binomial EGF", order, integral, integrated),
+        _compare("excess", "(1-x-y+xy) * excess OGF = integrated binomial EGF", order, excess, integrated),
+        _compare("count", "count EGF = (integrated binomial EGF + 1) / (1-x-y+xy)", order, counts, quotient),
+        Check(
+            "boundary",
+            "exponential-boundary variant leaves a nonzero residual",
+            nonzero > 0,
+            f"residual(0,0) = {residual.coeff(0, 0)}; nonzero in {nonzero} of {(order + 1) ** 2} cells",
+        ),
+    ]
+    return checks, residual
 
 
 def verify_identities(order: int) -> IdentityReport:
-    """Check every series identity on the window [0, order]^2, exactly:
-    product, derivative, integral, excess, count, diagonal and boundary
-    (see the ``*_check`` function of each)."""
-    if order < 2:
-        raise ValueError("order must be at least 2")
-    checks = [
-        check(order)
-        for check in (product_check, derivative_check, integral_check, excess_check, count_check, diagonal_check)
-    ]
-    boundary, residual = boundary_check(order)
-    return IdentityReport(order, (*checks, boundary), residual)
+    """Check every series identity on the window [0, order]^2, exactly: the
+    ``bessel_checks`` and then the ``main2_checks``."""
+    _check_int("order", order, 2, inf)
+    bessel = bessel_checks(order)
+    main2, residual = main2_checks(order)
+    return IdentityReport(order, (*bessel, *main2), residual)

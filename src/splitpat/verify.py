@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import chain
-from math import factorial
+from math import factorial, inf
 from typing import Callable
 
 from .counting import (
@@ -21,24 +21,19 @@ from .counting import (
     falling_factorial,
     max_left_avoider_count,
 )
-from .perms import Permutation, remove_max, rotate180
+from .perms import Permutation, _check_int, remove_max, rotate180
 from .series import (
     BivariateSeries,
     Check,
+    bessel_checks,
     bessel_i0_series,
     binomial_egf_series,
-    boundary_check,
-    count_check,
     count_egf,
-    derivative_check,
-    diagonal_check,
-    excess_check,
     excess_ogf,
     exp_sum_series,
     geometric_series,
-    integral_check,
     integrated_binomial_egf,
-    product_check,
+    main2_checks,
 )
 
 __all__ = ["Check", "REGISTRY", "TARGETS", "run_target"]
@@ -135,19 +130,16 @@ def structure_checks(n_max: int, limit: int = DEFAULT_SEARCH_LIMIT) -> list[Chec
     ]
 
 
-def symmetry_checks(order: int, n_count_max: int = 30) -> list[Check]:
+# Largest n at which the symmetry suite checks the closed-form counts.
+_COUNT_N_MAX = 30
+
+
+def symmetry_checks(order: int) -> list[Check]:
     """Symmetry and lower bound of the closed-form counts, plus x/y symmetry
     of every named series."""
-    count_sym = all(
-        avoider_count(r, n) == avoider_count(n - r, n)
-        for n in range(n_count_max + 1)
-        for r in range(n + 1)
-    )
-    bound = all(
-        avoider_count(r, n) >= factorial(r) * factorial(n - r)
-        for n in range(n_count_max + 1)
-        for r in range(n + 1)
-    )
+    counts = {(r, n): avoider_count(r, n) for n in range(_COUNT_N_MAX + 1) for r in range(n + 1)}
+    count_sym = all(k == counts[(n - r, n)] for (r, n), k in counts.items())
+    bound = all(k >= factorial(r) * factorial(n - r) for (r, n), k in counts.items())
     named: dict[str, BivariateSeries] = {
         "exp_sum": exp_sum_series(order, order),
         "bessel_i0": bessel_i0_series(order, order),
@@ -159,8 +151,8 @@ def symmetry_checks(order: int, n_count_max: int = 30) -> list[Check]:
     }
     asymmetric = sorted(name for name, s in named.items() if not s.is_symmetric())
     return [
-        Check("count-symmetry", f"count(r,n) = count(n-r,n) for n <= {n_count_max}", count_sym),
-        Check("count-bound", f"count(r,n) >= r!(n-r)! for n <= {n_count_max}", bound),
+        Check("count-symmetry", f"count(r,n) = count(n-r,n) for n <= {_COUNT_N_MAX}", count_sym),
+        Check("count-bound", f"count(r,n) >= r!(n-r)! for n <= {_COUNT_N_MAX}", bound),
         Check(
             "series-symmetry",
             f"named series symmetric under swapping x and y at order {order}",
@@ -182,19 +174,9 @@ def recursion_checks(order: int) -> list[Check]:
     ]
 
 
-# A suite maps (order, n_max, limit) to its checks and, for the boundary
-# identity alone, the residual series.
+# A suite maps (order, n_max, limit) to its checks and, for main2 alone, the
+# boundary residual series.
 _Suite = Callable[[int, int, int], tuple[list[Check], BivariateSeries | None]]
-
-
-def _identities(*identities: Callable[[int], Check]) -> _Suite:
-    return lambda order, n_max, limit: ([check(order) for check in identities], None)
-
-
-def _boundary(order: int, n_max: int, limit: int) -> tuple[list[Check], BivariateSeries]:
-    check, residual = boundary_check(order)
-    return [check], residual
-
 
 # Each target's suites in output order; a target computes only these.  The
 # lambdas look the suite functions up when they run, so rebinding a module
@@ -204,8 +186,8 @@ REGISTRY: dict[str, tuple[_Suite, ...]] = {
     "fibers": (lambda order, n_max, limit: (structure_checks(n_max, limit=limit), None),),
     "symmetry": (lambda order, n_max, limit: (symmetry_checks(order), None),),
     "recursion": (lambda order, n_max, limit: (recursion_checks(order), None),),
-    "bessel": (_identities(product_check, diagonal_check),),
-    "main2": (_identities(derivative_check, integral_check, excess_check, count_check), _boundary),
+    "bessel": (lambda order, n_max, limit: (bessel_checks(order), None),),
+    "main2": (lambda order, n_max, limit: main2_checks(order),),
 }
 REGISTRY["all"] = tuple(chain.from_iterable(REGISTRY.values()))
 TARGETS = tuple(REGISTRY)
@@ -222,9 +204,12 @@ def run_target(
 ) -> tuple[list[Check], BivariateSeries | None]:
     """Run one verification target and return its checks plus, for the
     targets that compute it, the residual of the alternative exponential
-    boundary choice."""
+    boundary choice.  Every target refuses the order and n_max the CLI
+    refuses."""
     if target not in REGISTRY:
         raise ValueError(f"unknown target {target!r}")
+    _check_int("order", order, 2, inf)
+    _check_int("n_max", n_max, 1, inf)
     suites = REGISTRY[target]
     if _EXHAUSTIVE.intersection(suites):
         # Refuse up front instead of grinding through the sizes below the cap.

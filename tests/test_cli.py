@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,16 @@ from splitpat.verify import run_target
 from support import TABLE1
 
 GOLDEN = Path(__file__).parent / "golden"
+NAMED_SERIES = (
+    "exp_sum_series",
+    "bessel_i0_series",
+    "binomial_egf_series",
+    "geometric_series",
+    "one_minus_x_minus_y_plus_xy",
+    "integrated_binomial_egf",
+    "count_egf",
+    "excess_ogf",
+)
 
 
 def run(capsys, *argv):
@@ -240,6 +251,39 @@ class TestVerify:
                 monkeypatch.setattr(module, unused, refuse)
         checks, _ = run_target(target, order=4)
         assert checks and all(c.passed for c in checks)
+
+    @pytest.mark.parametrize(
+        "target, order, n_max",
+        [
+            ("oracle", 12, -1),
+            ("oracle", 12, 0),
+            ("fibers", 12, 2.0),
+            ("bessel", 1, 7),
+            ("main2", 3.0, 7),
+            ("symmetry", True, 7),
+            ("recursion", 12, True),
+        ],
+    )
+    def test_run_target_refuses_what_the_cli_refuses(self, target, order, n_max):
+        with pytest.raises(ValueError):
+            run_target(target, order=order, n_max=n_max)
+
+    @pytest.mark.parametrize("target", ["bessel", "main2"])
+    def test_target_builds_each_series_once(self, monkeypatch, target):
+        calls = Counter()
+
+        def counted(name, build):
+            def wrapper(nx, ny):
+                calls[name, nx, ny] += 1
+                return build(nx, ny)
+
+            return wrapper
+
+        for name in NAMED_SERIES:
+            monkeypatch.setattr(splitpat.series, name, counted(name, getattr(splitpat.series, name)))
+        checks, _ = run_target(target, order=4)
+        assert checks and all(c.passed for c in checks)
+        assert calls and set(calls.values()) == {1}, calls
 
 
 class TestUsage:

@@ -36,8 +36,9 @@ class TestFallingFactorial:
         assert falling_factorial(m, i) == expected
 
     def test_negative_length_rejected(self):
-        with pytest.raises(ValueError):
-            falling_factorial(5, -1)
+        for m, i in [(5, -1), (5.0, 2), (5, 2.0), (True, 2), (5, True)]:
+            with pytest.raises(ValueError):
+                falling_factorial(m, i)
 
 
 class TestBinomial:
@@ -48,8 +49,9 @@ class TestBinomial:
         assert binomial(n, k) == expected
 
     def test_negative_top_rejected(self):
-        with pytest.raises(ValueError):
-            binomial(-1, 0)
+        for n, k in [(-1, 0), (4.0, 2), (4, 2.0), (True, 0), (4, True)]:
+            with pytest.raises(ValueError):
+                binomial(n, k)
 
 
 class TestClosedForm:
@@ -87,6 +89,8 @@ class TestClosedForm:
             avoider_count(True, 2)
         with pytest.raises(ValueError):
             avoider_count(1, 2.0)
+        with pytest.raises(ValueError):
+            avoider_count(1.0, 2)
 
 
 class TestMaxLeftCount:
@@ -109,8 +113,11 @@ class TestMaxLeftCount:
                 assert max_left_avoider_count(r, n) == observed
 
     def test_rejects_r_zero(self):
-        with pytest.raises(ValueError):
-            max_left_avoider_count(0, 3)
+        # The peeling route shares the argument rules of the max-left count.
+        for count in (max_left_avoider_count, avoider_count_by_peeling):
+            for r, n in [(0, 3), (4, 3), (True, 3), (True, 2), (2.0, 3), (1, 3.0), (1, True)]:
+                with pytest.raises(ValueError):
+                    count(r, n)
 
 
 class TestPeelingRoute:
@@ -233,9 +240,32 @@ class TestExcessRecursion:
     def test_cell_1_1_initial_conditions(self):
         assert normalized_excess(1, 1) == 0 + 0 - 0 + Fraction(binomial(0, 0), 1)
 
+    def test_integer_form_flags_the_rational_violations(self, monkeypatch):
+        # Corrupt one count; the integer recursion must fail at exactly the
+        # cells where the rational recursion on the normalized excess fails.
+        import splitpat.counting
+
+        exact = splitpat.counting.avoider_count
+        monkeypatch.setattr(
+            splitpat.counting, "avoider_count", lambda r, n: exact(r, n) + ((r, n) == (2, 5))
+        )
+        rational = [
+            (r, s)
+            for r in range(1, 5)
+            for s in range(1, 5)
+            if normalized_excess(r, s)
+            != normalized_excess(r, s - 1)
+            + normalized_excess(r - 1, s)
+            - normalized_excess(r - 1, s - 1)
+            + Fraction(binomial(r + s - 2, r - 1), factorial(r) * factorial(s))
+        ]
+        assert rational
+        assert list(check_excess_recursion(4, 4).violations) == rational
+
     def test_rejects_bad_bounds(self):
-        with pytest.raises(ValueError):
-            check_excess_recursion(0, 3)
+        for r_max, s_max in [(0, 3), (3, 0), (True, 2), (2, True), (2.0, 2), (2, 2.0)]:
+            with pytest.raises(ValueError):
+                check_excess_recursion(r_max, s_max)
 
 
 class TestCountTable:
@@ -281,8 +311,9 @@ class TestCountTable:
         assert [entry["n"] for entry in data] == sorted(entry["n"] for entry in data)
 
     def test_rejects_nonpositive_n_max(self):
-        with pytest.raises(ValueError):
-            build_count_table(0)
+        for n_max in (0, -1, True, 3.0):
+            with pytest.raises(ValueError):
+                build_count_table(n_max)
 
 
 class TestFiberStructure:

@@ -274,19 +274,21 @@ class TestVerifyIdentities:
     def test_all_pass_at_order_12(self):
         report = verify_identities(12)
         assert report.ok
-        assert {c.key for c in report.checks} == {
+        # The order of verify --target all: the bessel checks, then main2.
+        assert [c.key for c in report.checks] == [
             "product",
+            "diagonal",
             "derivative",
             "integral",
             "excess",
             "count",
-            "diagonal",
             "boundary",
-        }
+        ]
 
     def test_order_must_be_at_least_two(self):
-        with pytest.raises(ValueError):
-            verify_identities(1)
+        for order in (1, 2.0, True):
+            with pytest.raises(ValueError):
+                verify_identities(order)
 
     def test_hand_expansion_at_low_order(self):
         # coefficient (1,1): left C(2,1)/(1!1!) = 2; right 1*1 + 1 = 2.
