@@ -4,7 +4,9 @@ Data goes to stdout, diagnostics to stderr, and all data output is
 byte-for-byte deterministic for a given command line.  Exit codes: 0 for
 success (or "avoids" for check), 1 when check finds a contained pattern or
 a verification target fails, 2 for usage errors, 3 when a brute-force
-request exceeds the exhaustive-search guard.
+request exceeds the exhaustive-search guard.  Arguments are checked by the
+library functions that use them; ``main`` is the one place where their
+refusals become exit codes.
 """
 
 from __future__ import annotations
@@ -34,8 +36,6 @@ def _fail_usage(message: str) -> int:
 def cmd_table(args: argparse.Namespace) -> int:
     if not 1 <= args.n_max <= 100:
         return _fail_usage(f"--n-max must be in 1..100, got {args.n_max}")
-    if args.r_max is not None and args.r_max < 0:
-        return _fail_usage(f"--r-max must be nonnegative, got {args.r_max}")
     table = build_count_table(args.n_max)
     if args.format == "csv":
         sys.stdout.write(table.to_csv(r_max=args.r_max, n_min=1))
@@ -45,8 +45,6 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 def cmd_count(args: argparse.Namespace) -> int:
-    if not 0 <= args.r <= args.n:
-        return _fail_usage(f"need 0 <= r <= n, got r={args.r}, n={args.n}")
     if args.method == "formula":
         value = avoider_count(args.r, args.n)
     elif args.method == "corollary":
@@ -60,12 +58,7 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    try:
-        w = parse_permutation(args.perm)
-    except ValueError as exc:
-        return _fail_usage(str(exc))
-    if not 0 <= args.r <= w.n:
-        return _fail_usage(f"need 0 <= r <= n={w.n}, got r={args.r}")
+    w = parse_permutation(args.perm)
     witness_3_12 = contains_split(w, PATTERN_3_12, args.r)
     witness_23_1 = contains_split(w, PATTERN_23_1, args.r)
     avoids = witness_3_12 is None and witness_23_1 is None
@@ -83,8 +76,6 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    if not 0 <= args.r <= args.n:
-        return _fail_usage(f"need 0 <= r <= n, got r={args.r}, n={args.n}")
     members = enumerate_avoiders(args.r, args.n, limit=args.unsafe_n_max)
     if args.format == "lines":
         for w in members:
@@ -95,10 +86,6 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.order < 2:
-        return _fail_usage(f"--order must be at least 2, got {args.order}")
-    if args.n_max < 1:
-        return _fail_usage(f"--n-max must be at least 1, got {args.n_max}")
     checks, residual = run_target(
         args.target, order=args.order, n_max=args.n_max, limit=args.unsafe_n_max
     )
@@ -185,9 +172,12 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
+    # SearchLimitError subclasses ValueError, so it must be caught first.
     except SearchLimitError as exc:
         print(f"splitpat: error: {exc}", file=sys.stderr)
         return 3
+    except ValueError as exc:
+        return _fail_usage(str(exc))
 
 
 if __name__ == "__main__":

@@ -44,13 +44,6 @@ class SearchLimitError(ValueError):
     """Raised when a brute-force sweep would exceed the size guard."""
 
 
-def _check_rn(r: int, n: int) -> None:
-    if type(r) is not int or type(n) is not int:
-        raise ValueError(f"need integer r and n, got r={r!r}, n={n!r}")
-    if n < 0 or not 0 <= r <= n:
-        raise ValueError(f"need 0 <= r <= n, got r={r}, n={n}")
-
-
 def _check_limit(n: int, limit: int) -> None:
     if n > limit:
         raise SearchLimitError(
@@ -98,7 +91,8 @@ def avoider_count(r: int, n: int) -> int:
     >>> avoider_count(2, 5)
     47
     """
-    _check_rn(r, n)
+    _check_int("n", n, 0, inf)
+    _check_int("r", r, 0, n)
     total = factorial(r) * factorial(n - r)
     ff_left = 1  # (r)_{i-1}
     for i in range(1, r + 1):
@@ -153,7 +147,8 @@ def enumerate_avoiders(
 ) -> list[Permutation]:
     """All avoiders in S_n with respect to position r, in lexicographic
     one-line order.  Refuses n > limit."""
-    _check_rn(r, n)
+    _check_int("n", n, 0, inf)
+    _check_int("r", r, 0, n)
     _check_limit(n, limit)
     return [
         Permutation(vals)
@@ -168,7 +163,8 @@ def brute_count(r: int, n: int, limit: int = DEFAULT_SEARCH_LIMIT) -> int:
     Independent oracle for ``avoider_count``; does not materialize the
     permutations.
     """
-    _check_rn(r, n)
+    _check_int("n", n, 0, inf)
+    _check_int("r", r, 0, n)
     _check_limit(n, limit)
     return sum(1 for vals in permutations(range(1, n + 1)) if _avoids(vals, r))
 
@@ -183,8 +179,8 @@ def partition_by_smallest_right(
     1 <= i <= r are inhabited and class i has exactly
     binomial(n-i-1, r-i) * (r)_{i-1} members.
     """
-    if not 1 <= r < n:
-        raise ValueError(f"need 1 <= r < n, got r={r}, n={n}")
+    _check_int("n", n, 2, inf)
+    _check_int("r", r, 1, n - 1)
     groups: dict[int, set[Permutation]] = {}
     for w in enumerate_avoiders(r, n, limit=limit):
         vals = w.values
@@ -202,8 +198,8 @@ def normalized_excess(r: int, s: int) -> Fraction:
     >>> normalized_excess(2, 2)
     Fraction(5, 2)
     """
-    if r < 0 or s < 0:
-        raise ValueError("arguments must be nonnegative")
+    _check_int("r", r, 0, inf)
+    _check_int("s", s, 0, inf)
     return Fraction(avoider_count(r, r + s), factorial(r) * factorial(s)) - 1
 
 
@@ -264,6 +260,8 @@ class CountTable:
         self, r_max: int | None = None, n_min: int = 0
     ) -> list[tuple[int, int, int]]:
         """(r, n, count) triples sorted by (n, r), optionally filtered."""
+        if r_max is not None:
+            _check_int("r_max", r_max, 0, inf)
         out = [
             (r, n, k)
             for (r, n), k in self.entries.items()

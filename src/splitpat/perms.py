@@ -18,6 +18,7 @@ permutation (n = 0) is valid.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 from typing import Iterator
 
 __all__ = [
@@ -85,8 +86,7 @@ class Permutation:
 
 def identity(n: int) -> Permutation:
     """The identity permutation 1 2 ... n."""
-    if n < 0:
-        raise ValueError("size must be nonnegative")
+    _check_int("size n", n, 0, inf)
     return Permutation(tuple(range(1, n + 1)))
 
 

@@ -189,16 +189,6 @@ class BivariateSeries:
         row-major in the x exponent."""
         return json.dumps(self._json_dict())
 
-    @classmethod
-    def from_json(cls, text: str) -> "BivariateSeries":
-        data = json.loads(text)
-        return cls(
-            tuple(
-                tuple(Fraction(int(num), int(den)) for num, den in row)
-                for row in data["coeffs"]
-            )
-        )
-
 
 def _terms(series: BivariateSeries, nx: int, ny: int) -> list[tuple[int, int, Fraction]]:
     """The nonzero cells (r, s, c) of series within [0,nx] x [0,ny], in
@@ -385,6 +375,7 @@ def bessel_checks(order: int) -> list[Check]:
     """The Bessel factorization on the window [0, order]^2: the binomial EGF
     is e^(x+y) times the Bessel series (``product``), and collapsing it to
     y = x gives the central binomial EGF (``diagonal``)."""
+    _check_int("order", order, 2, inf)
     binomial_egf = binomial_egf_series(order, order)
     product = exp_sum_series(order, order) * bessel_i0_series(order, order)
     diag = diagonal_collapse(binomial_egf)
@@ -412,6 +403,7 @@ def main2_checks(order: int) -> tuple[list[Check], BivariateSeries]:
     nonzero: the discrepancy between the two conventions is documented
     rather than patched.
     """
+    _check_int("order", order, 2, inf)
     binomial_egf = binomial_egf_series(order, order)
     integrated = integrated_binomial_egf(order, order)
     unit = one_minus_x_minus_y_plus_xy(order, order)
@@ -445,7 +437,6 @@ def main2_checks(order: int) -> tuple[list[Check], BivariateSeries]:
 def verify_identities(order: int) -> IdentityReport:
     """Check every series identity on the window [0, order]^2, exactly: the
     ``bessel_checks`` and then the ``main2_checks``."""
-    _check_int("order", order, 2, inf)
     bessel = bessel_checks(order)
     main2, residual = main2_checks(order)
     return IdentityReport(order, (*bessel, *main2), residual)

@@ -43,8 +43,10 @@ def oracle_checks(n_max: int, limit: int = DEFAULT_SEARCH_LIMIT) -> list[Check]:
     """Brute force vs closed form vs peeling, for every r at each size.
 
     The peeling route is only defined for r >= 1, so at r = 0 the brute
-    count is compared against the closed form alone.
+    count is compared against the closed form alone.  Refuses n_max > limit
+    before sweeping the sizes below it.
     """
+    _check_limit(n_max, limit)
     checks = []
     for n in range(n_max + 1):
         ok = True
@@ -65,7 +67,9 @@ def oracle_checks(n_max: int, limit: int = DEFAULT_SEARCH_LIMIT) -> list[Check]:
 
 def structure_checks(n_max: int, limit: int = DEFAULT_SEARCH_LIMIT) -> list[Check]:
     """Structural facts about the avoidance classes, checked by exhaustive
-    enumeration for all sizes up to n_max and all positions r."""
+    enumeration for all sizes up to n_max and all positions r.  Refuses
+    n_max > limit before sweeping the sizes below it."""
+    _check_limit(n_max, limit)
     classes: dict[tuple[int, int], list[Permutation]] = {
         (r, n): enumerate_avoiders(r, n, limit=limit)
         for n in range(n_max + 1)
@@ -192,9 +196,6 @@ REGISTRY: dict[str, tuple[_Suite, ...]] = {
 REGISTRY["all"] = tuple(chain.from_iterable(REGISTRY.values()))
 TARGETS = tuple(REGISTRY)
 
-# Suites that sweep S_n and so fall under the exhaustive-search guard.
-_EXHAUSTIVE = {*REGISTRY["oracle"], *REGISTRY["fibers"]}
-
 
 def run_target(
     target: str,
@@ -204,20 +205,16 @@ def run_target(
 ) -> tuple[list[Check], BivariateSeries | None]:
     """Run one verification target and return its checks plus, for the
     targets that compute it, the residual of the alternative exponential
-    boundary choice.  Every target refuses the order and n_max the CLI
-    refuses."""
+    boundary choice.  Every target refuses an order below 2 and an n_max
+    below 1, whether or not its suites use them."""
     if target not in REGISTRY:
         raise ValueError(f"unknown target {target!r}")
     _check_int("order", order, 2, inf)
     _check_int("n_max", n_max, 1, inf)
-    suites = REGISTRY[target]
-    if _EXHAUSTIVE.intersection(suites):
-        # Refuse up front instead of grinding through the sizes below the cap.
-        _check_limit(n_max, limit)
 
     checks: list[Check] = []
     residual: BivariateSeries | None = None
-    for suite in suites:
+    for suite in REGISTRY[target]:
         found, suite_residual = suite(order, n_max, limit)
         checks.extend(found)
         if suite_residual is not None:

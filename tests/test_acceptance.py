@@ -1,7 +1,8 @@
 """Acceptance suite: one test per criterion, one printed pass/fail line each.
 
 Every comparison is exact (integers or rationals, zero tolerance); the
-stated runtime ceilings are asserted alongside the results.  Run with
+stated runtime ceilings are asserted alongside the results, and each line
+ends with the measured wall time of its criterion.  Run with
 ``pytest tests/test_acceptance.py -v -s`` to see the lines as they print.
 """
 
@@ -47,12 +48,13 @@ def _report(criterion, body, capsys=None):
             with capsys.disabled():
                 print(line)
 
+    start = time.perf_counter()
     try:
         body()
     except BaseException:
-        emit(f"FAIL {criterion}")
+        emit(f"FAIL {criterion} [{time.perf_counter() - start:.3f} s]")
         raise
-    emit(f"PASS {criterion}")
+    emit(f"PASS {criterion} [{time.perf_counter() - start:.3f} s]")
 
 
 def test_criterion_1_table_reproduction(capsys):

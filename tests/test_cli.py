@@ -1,13 +1,17 @@
+import io
 import json
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import splitpat.series
 import splitpat.verify
 from splitpat.cli import main
-from splitpat.verify import run_target
+from splitpat.counting import SearchLimitError
+from splitpat.verify import TARGETS, run_target
 from support import TABLE1
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -268,6 +272,16 @@ class TestVerify:
         with pytest.raises(ValueError):
             run_target(target, order=order, n_max=n_max)
 
+    @pytest.mark.parametrize("suite", ["oracle_checks", "structure_checks"])
+    def test_exhaustive_suite_refuses_before_sweeping(self, monkeypatch, suite):
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"{suite} swept below the guard")
+
+        monkeypatch.setattr(splitpat.verify, "brute_count", refuse)
+        monkeypatch.setattr(splitpat.verify, "enumerate_avoiders", refuse)
+        with pytest.raises(SearchLimitError):
+            getattr(splitpat.verify, suite)(4, limit=3)
+
     @pytest.mark.parametrize("target", ["bessel", "main2"])
     def test_target_builds_each_series_once(self, monkeypatch, target):
         calls = Counter()
@@ -295,3 +309,72 @@ class TestUsage:
 
     def test_unknown_flag(self, capsys):
         assert run(capsys, "table", "--n-max", "3", "--bogus")[0] == 2
+
+
+# Every size stays small: 11 lies past the default guard of 10, and a guard
+# override never rises above 6, so no invocation sweeps more than S_6.
+SIZES = st.sampled_from([*map(str, range(-3, 7)), "11", "2.0"])
+GUARDS = st.sampled_from(["-1", "0", "3", "6"])
+
+
+def _flag(name, values, optional=True):
+    pair = values.map(lambda value: [name, value])
+    return st.one_of(st.just([]), pair) if optional else pair
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(["table", "count", "check", "enumerate", "verify"]))
+    flags = {
+        "table": [
+            _flag("--n-max", st.sampled_from([*map(str, range(-3, 7)), "11", "101"]), False),
+            _flag("--r-max", SIZES),
+            _flag("--format", st.sampled_from(["csv", "json", "lines"])),
+        ],
+        "count": [
+            _flag("--r", SIZES, False),
+            _flag("--n", SIZES, False),
+            _flag("--method", st.sampled_from(["formula", "corollary", "brute"])),
+            _flag("--unsafe-n-max", GUARDS),
+        ],
+        "check": [
+            _flag(
+                "--perm",
+                st.one_of(
+                    st.integers(0, 7).flatmap(lambda k: st.permutations(range(1, k + 1))).map(
+                        lambda vals: ",".join(map(str, vals))
+                    ),
+                    st.text("0123456789,+- x", max_size=8),
+                ),
+                False,
+            ),
+            _flag("--r", SIZES, False),
+        ],
+        "enumerate": [
+            _flag("--r", SIZES, False),
+            _flag("--n", SIZES, False),
+            _flag("--format", st.sampled_from(["lines", "json"])),
+            _flag("--unsafe-n-max", GUARDS),
+        ],
+        "verify": [
+            _flag("--target", st.sampled_from([*TARGETS, "nonsense"]), False),
+            _flag("--order", st.sampled_from([*map(str, range(-3, 9)), "2.0"])),
+            _flag("--n-max", st.sampled_from([*map(str, range(-3, 6)), "11"])),
+            _flag("--format", st.sampled_from(["text", "json"])),
+            _flag("--unsafe-n-max", GUARDS),
+        ],
+    }[command]
+    return [command, *(arg for flag in flags for arg in draw(flag))]
+
+
+class TestArgvProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(argvs())
+    def test_every_invocation_ends_in_a_known_exit_code(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err.getvalue()
+        if code in (2, 3):
+            assert out.getvalue() == ""

@@ -216,8 +216,9 @@ class TestNormalizedExcess:
         assert normalized_excess(r, s) == normalized_excess(s, r)
 
     def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            normalized_excess(-1, 2)
+        for r, s in ((-1, 2), (2, -1), (1.0, 1), (1, True)):
+            with pytest.raises(ValueError):
+                normalized_excess(r, s)
 
 
 class TestExcessRecursion:
@@ -314,6 +315,14 @@ class TestCountTable:
         for n_max in (0, -1, True, 3.0):
             with pytest.raises(ValueError):
                 build_count_table(n_max)
+
+    def test_rejects_bad_r_max(self):
+        table = build_count_table(3)
+        for r_max in (-1, 1.0, True):
+            with pytest.raises(ValueError):
+                table.rows(r_max=r_max)
+        with pytest.raises(ValueError):
+            table.to_csv(r_max=-1)
 
 
 class TestFiberStructure:

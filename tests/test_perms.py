@@ -65,6 +65,12 @@ class TestPermutation:
 
     def test_empty_allowed(self):
         assert Permutation(()).n == 0
+        assert identity(0) == Permutation(())
+
+    def test_identity_needs_a_nonnegative_int_size(self):
+        for n in (-1, True, 2.0):
+            with pytest.raises(ValueError):
+                identity(n)
 
     @pytest.mark.parametrize(
         "values",
