@@ -33,6 +33,20 @@ def _fail_usage(message: str) -> int:
     return 2
 
 
+# CPython 3.10.7 and later refuse str() of an int past a digit cap (4300 by
+# default, 640 at the lowest a user may set); 10**600 stays under any cap.
+_STR_SAFE = 10**600
+
+
+def _decimal(value: int) -> str:
+    """Decimal text of a nonnegative int of any size, whatever the cap."""
+    if value < _STR_SAFE:
+        return str(value)
+    k = value.bit_length() * 3 // 20  # about half of the decimal digits
+    high, low = divmod(value, 10**k)
+    return _decimal(high) + _decimal(low).zfill(k)
+
+
 def cmd_table(args: argparse.Namespace) -> int:
     if not 1 <= args.n_max <= 100:
         return _fail_usage(f"--n-max must be in 1..100, got {args.n_max}")
@@ -53,7 +67,7 @@ def cmd_count(args: argparse.Namespace) -> int:
         value = avoider_count_by_peeling(args.r, args.n)
     else:
         value = brute_count(args.r, args.n, limit=args.unsafe_n_max)
-    print(value)
+    print(_decimal(value))
     return 0
 
 

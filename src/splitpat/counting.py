@@ -2,7 +2,9 @@
 
 Counts come from three independent routes: a brute-force sweep over all of
 S_n (the oracle), a closed-form double sum, and a peeling recurrence that
-repeatedly removes the maximal value.  All arithmetic is arbitrary-precision
+repeatedly removes the maximal value.  The count table is filled from the
+integer form of the excess recursion instead; the closed form is its
+independent check.  All arithmetic is arbitrary-precision
 integer or rational; nothing here touches floating point, so every table
 entry is bit-exact no matter how large.
 """
@@ -85,26 +87,25 @@ def avoider_count(r: int, n: int) -> int:
     """Closed-form count of permutations in S_n avoiding both split
     patterns 3|12 and 23|1 with respect to position r.
 
-    Equals r!(n-r)! plus a double sum of binomials weighted by falling
-    factorials; the value for (0, 0) is 1 (the empty permutation).
+    Equals r!(n-r)! plus the double sum over 1 <= i <= r, 1 <= j <= n-r of
+    C(n-i-j, r-i) (r)_{i-1} (n-r)_{j-1}; the value for (0, 0) is 1 (the
+    empty permutation).  Both sums are folded by Horner's rule, so each
+    term costs a few products of a big integer by a small one.
 
     >>> avoider_count(2, 5)
     47
     """
     _check_int("n", n, 0, inf)
     _check_int("r", r, 0, n)
-    total = factorial(r) * factorial(n - r)
-    ff_left = 1  # (r)_{i-1}
-    for i in range(1, r + 1):
-        inner = 0
-        ff_right = 1  # (n-r)_{j-1}
-        for j in range(1, n - r + 1):
-            # 0 <= r - i <= n - i - j on this range, so comb needs no guard.
-            inner += comb(n - i - j, r - i) * ff_right
-            ff_right *= n - r - j + 1
-        total += inner * ff_left
-        ff_left *= r - i + 1
-    return total
+    s = n - r
+    outer = 0
+    for k in range(r):  # k = r - i, i from r down to 1
+        c, inner = 1, 0  # c = C(k + t, k) = C(n-i-j, r-i) with t = s - j
+        for t in range(s):
+            inner = c + (t + 1) * inner
+            c = c * (k + t + 1) // (t + 1)
+        outer = inner + (k + 1) * outer
+    return factorial(r) * factorial(s) + outer
 
 
 def max_left_avoider_count(r: int, n: int) -> int:
@@ -134,11 +135,17 @@ def avoider_count_by_peeling(r: int, n: int) -> int:
     """
     _check_int("n", n, 1, inf)
     _check_int("r", r, 1, n)
-    total = 0
-    ff = 1  # (n-r)_j
-    for j in range(0, n - r + 1):
-        total += ff * max_left_avoider_count(r, n - j)
-        ff *= n - r - j
+    # The sum over j of (n-r)_j * max_left_avoider_count(r, n-j), folded by
+    # Horner's rule from m = n-j = r upwards.  binoms[k] holds
+    # C(m-i-1, r-i) for i = r-k, the binomials of the max-left count at m.
+    total = factorial(r)
+    binoms = [1] * r
+    for u in range(1, n - r + 1):  # u = m - r
+        max_left = 0
+        for k in range(r):
+            max_left = binoms[k] + (k + 1) * max_left
+            binoms[k] = binoms[k] * (u + k) // u
+        total = max_left + u * total
     return total
 
 
@@ -283,12 +290,36 @@ class CountTable:
         )
 
 
+def _count_grid(n_max: int) -> list[list[int]]:
+    """Rows ``grid[r][s] = avoider_count(r, r + s)`` for r + s <= n_max,
+    from the integer form of the excess recursion (see
+    ``check_excess_recursion``)
+
+        K(r,s) = s K(r,s-1) + r K(r-1,s) - r s K(r-1,s-1) + C(r+s-2, r-1),
+
+    with K(r,0) = r! and K(0,s) = s!.  Row r needs only row r-1, and the
+    binomial moves along the row in place, so every cell costs a few
+    products of a big integer by a small one.
+    """
+    grid = [[factorial(s) for s in range(n_max + 1)]]
+    for r in range(1, n_max + 1):
+        above = grid[-1]
+        row = [r * above[0]]
+        c = 1  # C(r+s-2, r-1) at s = 1
+        for s in range(1, n_max - r + 1):
+            row.append(s * row[-1] + r * (above[s] - s * above[s - 1]) + c)
+            c = c * (r + s - 1) // s
+        grid.append(row)
+    return grid
+
+
 def build_count_table(n_max: int) -> CountTable:
-    """Closed-form counts for all 0 <= r <= n <= n_max."""
+    """Counts for all 0 <= r <= n <= n_max, from the integer recursion.
+
+    ``avoider_count``, the paper's closed form, is the independent check on
+    these values; the tests compare the two on every cell with n <= 100.
+    """
     _check_int("n_max", n_max, 1, inf)
-    entries = {
-        (r, n): avoider_count(r, n)
-        for n in range(n_max + 1)
-        for r in range(n + 1)
-    }
+    grid = _count_grid(n_max)
+    entries = {(r, n): grid[r][n - r] for n in range(n_max + 1) for r in range(n + 1)}
     return CountTable(n_max, entries)

@@ -1,5 +1,7 @@
+import hashlib
 import io
 import json
+import sys
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -7,6 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import splitpat.cli
 import splitpat.series
 import splitpat.verify
 from splitpat.cli import main
@@ -110,6 +113,50 @@ class TestCount:
     def test_r_out_of_range(self, capsys):
         code, _, _ = run(capsys, "count", "--r", "5", "--n", "3")
         assert code == 2
+
+    def test_prints_counts_past_the_int_str_digit_cap(self, capsys, monkeypatch):
+        # CPython caps str(int) at 4300 digits by default; a count that long
+        # must still print in full, and the cap must stay as it was.
+        digits = "9" + "".join(f"{i:04d}" for i in range(1250))
+        value = 0
+        for start in range(0, len(digits), 100):
+            chunk = digits[start : start + 100]
+            value = value * 10 ** len(chunk) + int(chunk)
+        monkeypatch.setattr(splitpat.cli, "avoider_count", lambda r, n: value)
+        cap = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        code, out, err = run(capsys, "count", "--r", "1", "--n", "2")
+        assert (code, err) == (0, "")
+        assert out == digits + "\n"
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == cap
+
+    def test_middle_cell_past_the_digit_cap(self, capsys):
+        code, out, _ = run(capsys, "count", "--r", "900", "--n", "1800")
+        assert code == 0
+        assert len(out) == 4542 and out[:-1].isdigit() and out.endswith("\n")
+
+
+# sha256 of stdout, captured before the counts were computed by Horner's
+# rule and the table by the integer recursion.
+PINNED_OUTPUT = {
+    ("table", "--n-max", "100"): "be27536949931d10eff8317a47f8f7630bc2d27b3acfb11733951cf01b63cfb8",
+    ("table", "--n-max", "100", "--format", "json"): "8ba3df6adcebebd199af31bd78a3ce6e33383efba28c2acdbf1095bd15faf3cb",
+    **{
+        ("count", "--r", r, "--n", n, "--method", method): digest
+        for r, n, digest in [
+            ("135", "305", "e9683c0c2f19be30efc1644f7eda6273cd6290e896d427c7a7727ea957e3c2db"),
+            ("413", "590", "187cf8e49bb3a5a3b5f124797fd21658bda727da07beb5a0d5d07c95bfa2b17e"),
+            ("450", "900", "8d4f9acda6b48a589a706fbd2da8fae4ab41f0b47d68dc29e76a742d94a5a217"),
+        ]
+        for method in ("formula", "corollary")
+    },
+}
+
+
+@pytest.mark.parametrize("argv", list(PINNED_OUTPUT), ids=" ".join)
+def test_pinned_output_bytes(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_OUTPUT[argv]
 
 
 class TestCheck:

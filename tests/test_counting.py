@@ -1,9 +1,9 @@
 import json
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from splitpat import (
     Permutation,
@@ -24,7 +24,7 @@ from splitpat import (
     partition_by_smallest_right,
     right_values,
 )
-from support import TABLE1
+from support import TABLE1, closed_form_double_sum
 
 
 class TestFallingFactorial:
@@ -79,6 +79,11 @@ class TestClosedForm:
 
     def test_exceeds_64_bit_range(self):
         assert avoider_count(0, 21) == factorial(21) > 2**63
+
+    def test_matches_the_term_by_term_double_sum(self):
+        for n in range(41):
+            for r in range(n + 1):
+                assert avoider_count(r, n) == closed_form_double_sum(r, n), (r, n)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -135,6 +140,43 @@ class TestPeelingRoute:
 
     def test_table_value_via_alternative_route(self):
         assert avoider_count_by_peeling(2, 5) == 47
+
+    def test_matches_the_literal_peeling_sum(self):
+        for n in range(1, 31):
+            for r in range(1, n + 1):
+                literal = sum(
+                    falling_factorial(n - r, j) * max_left_avoider_count(r, n - j)
+                    for j in range(n - r + 1)
+                )
+                assert avoider_count_by_peeling(r, n) == literal, (r, n)
+
+
+def _rolled_recurrence(r, s):
+    """K(r, s) = avoider_count(r, r + s) from the integer excess recursion,
+    one row of fixed r at a time, with a fresh binomial per cell."""
+    row = [factorial(b) for b in range(s + 1)]
+    for a in range(1, r + 1):
+        new = [factorial(a)]
+        for b in range(1, s + 1):
+            new.append(b * new[b - 1] + a * row[b] - a * b * row[b - 1] + comb(a + b - 2, a - 1))
+        row = new
+    return row[s]
+
+
+class TestCountRoutesAgree:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 400).flatmap(lambda n: st.tuples(st.integers(1, n), st.just(n))))
+    def test_formula_corollary_and_recurrence_beyond_the_table(self, cell):
+        r, n = cell
+        expected = _rolled_recurrence(r, n - r)
+        assert avoider_count(r, n) == expected
+        assert avoider_count_by_peeling(r, n) == expected
+
+    def test_table_matches_closed_form_up_to_100(self):
+        entries = build_count_table(100).entries
+        assert len(entries) == 101 * 102 // 2
+        for (r, n), k in entries.items():
+            assert k == avoider_count(r, n), (r, n)
 
 
 class TestBruteForce:
