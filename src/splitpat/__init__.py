@@ -27,6 +27,7 @@ from .counting import (
 from .perms import (
     PATTERN_23_1,
     PATTERN_3_12,
+    BadInputError,
     PatternWitness,
     Permutation,
     SplitPattern,

@@ -3,10 +3,11 @@
 Data goes to stdout, diagnostics to stderr, and all data output is
 byte-for-byte deterministic for a given command line.  Exit codes: 0 for
 success (or "avoids" for check), 1 when check finds a contained pattern or
-a verification target fails, 2 for usage errors, 3 when a brute-force
-request exceeds the exhaustive-search guard.  Arguments are checked by the
-library functions that use them; ``main`` is the one place where their
-refusals become exit codes.
+a verification target fails, 2 for bad input, 3 when a brute-force request
+exceeds the exhaustive-search guard.  Arguments are checked by the library
+functions that use them; ``main`` is the one place where their refusals
+(``BadInputError`` and ``SearchLimitError``) become exit codes.  Any other
+exception is a fault and propagates.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .counting import (
     build_count_table,
     enumerate_avoiders,
 )
-from .perms import PATTERN_23_1, PATTERN_3_12, contains_split, parse_permutation
+from .perms import PATTERN_23_1, PATTERN_3_12, BadInputError, contains_split, parse_permutation
 from .verify import TARGETS, run_target
 
 
@@ -186,11 +187,10 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    # SearchLimitError subclasses ValueError, so it must be caught first.
     except SearchLimitError as exc:
         print(f"splitpat: error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except BadInputError as exc:
         return _fail_usage(str(exc))
 
 

@@ -22,6 +22,7 @@ from math import inf
 from typing import Iterator
 
 __all__ = [
+    "BadInputError",
     "Permutation",
     "SplitPattern",
     "PatternWitness",
@@ -40,6 +41,11 @@ __all__ = [
     "rotate180",
     "rank_function",
 ]
+
+
+class BadInputError(ValueError):
+    """Raised when an argument or an input text is refused; the CLI maps
+    exactly this error to exit 2."""
 
 
 @dataclass(frozen=True)
@@ -62,7 +68,7 @@ class Permutation:
         values = tuple(self.values)
         object.__setattr__(self, "values", values)
         if not {*map(type, values)} <= {int} or sorted(values) != list(range(1, len(values) + 1)):
-            raise ValueError(f"not a rearrangement of 1..{len(values)}: {values!r}")
+            raise BadInputError(f"not a rearrangement of 1..{len(values)}: {values!r}")
 
     @property
     def n(self) -> int:
@@ -105,8 +111,12 @@ def parse_permutation(text: str) -> Permutation:
     # and underscores, so each field must be ASCII digits before conversion.
     fields = [part.strip() for part in text.split(",")] if "," in text else list(text)
     if not all(field.isascii() and field.isdigit() for field in fields):
-        raise ValueError(f"bad permutation text: {text!r}")
-    return Permutation(tuple(map(int, fields)))
+        raise BadInputError(f"bad permutation text: {text!r}")
+    try:
+        values = tuple(map(int, fields))
+    except ValueError:  # a field past CPython's digit cap for int()
+        raise BadInputError(f"bad permutation text: {text!r}") from None
+    return Permutation(values)
 
 
 def format_permutation(w: Permutation) -> str:
@@ -119,7 +129,7 @@ def format_permutation(w: Permutation) -> str:
 def _check_int(name: str, value: int, lo: int, hi: int) -> None:
     # Floats and bools compare equal to ints, so the type itself is tested.
     if type(value) is not int or not lo <= value <= hi:
-        raise ValueError(f"{name} must be an int in {lo}..{hi}, got {value!r}")
+        raise BadInputError(f"{name} must be an int in {lo}..{hi}, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,18 @@
-"""Truncated bivariate formal power series over exact rationals.
+"""Truncated bivariate formal power series, stored EGF-scaled.
 
-A series holds a rectangular coefficient window c[r][s] for 0 <= r <= nx,
-0 <= s <= ny.  Coefficients outside the window are undefined, never assumed
-zero: binary operations act on the intersection of the operand windows and
-equality compares there too, so a low-order truncation equals any higher
-order truncation of the same series.  The named constructors build the
-generating functions tied to the avoidance counts.  Two functions check the
-identities linking them coefficient by coefficient with zero tolerance, one
-per group of identities, each building every series it needs once:
-``bessel_checks`` (the Bessel factorization of the binomial EGF and its
-diagonal) and ``main2_checks`` (the count EGF and its companions);
+A series holds a rectangular window of cells G[r][s] = r! s! c[r][s], where
+c[r][s] is the coefficient of x^r y^s, for 0 <= r <= nx, 0 <= s <= ny.  In
+this basis every named generating function is a grid of ints, a product is
+the labelled product of Flajolet and Sedgewick (the binomial convolution),
+and the mixed integral and derivative are index shifts; only ``coeff`` and
+the JSON form divide by r! s!.  Coefficients outside the window are
+undefined, never assumed zero: binary operations act on the intersection of
+the operand windows and equality compares there too, so a low-order
+truncation equals any higher order truncation of the same series.  Two
+functions check the identities linking the series cell by cell with zero
+tolerance, one per group of identities, each building every series it needs
+once: ``bessel_checks`` (the Bessel factorization of the binomial EGF and
+its diagonal) and ``main2_checks`` (the count EGF and its companions);
 ``verify_identities`` runs both.
 """
 
@@ -21,7 +24,7 @@ from fractions import Fraction
 from math import comb, factorial, inf
 from typing import Callable, Mapping
 
-from .counting import avoider_count, binomial, normalized_excess
+from .counting import _count_grid, avoider_count
 from .perms import _check_int
 
 __all__ = [
@@ -52,14 +55,15 @@ RationalLike = Fraction | int
 class BivariateSeries:
     """Rectangular truncation of a formal power series in x and y.
 
-    ``coeffs[r][s]`` is the coefficient of x^r y^s.  All coefficients are
-    exact rationals; instances are immutable and safe to share.
+    ``coeffs[r][s]`` is the cell r! s! times the coefficient of x^r y^s:
+    an int in every named series, a Fraction only where a caller puts one.
+    Instances are immutable and safe to share.
     """
 
-    coeffs: tuple[tuple[Fraction, ...], ...]
+    coeffs: tuple[tuple[RationalLike, ...], ...]
 
     def __post_init__(self) -> None:
-        rows = tuple(tuple(c if type(c) is Fraction else Fraction(c) for c in row) for row in self.coeffs)
+        rows = tuple(map(tuple, self.coeffs))
         if not rows or not rows[0]:
             raise ValueError("coefficient window must be nonempty")
         if any(len(row) != len(rows[0]) for row in rows):
@@ -70,13 +74,9 @@ class BivariateSeries:
     def from_fn(
         cls, fn: Callable[[int, int], RationalLike], nx: int, ny: int
     ) -> "BivariateSeries":
-        """Series with coefficient fn(r, s) on the window [0,nx] x [0,ny]."""
-        return cls(
-            tuple(
-                tuple(Fraction(fn(r, s)) for s in range(ny + 1))
-                for r in range(nx + 1)
-            )
-        )
+        """Series with cell fn(r, s), so coefficient fn(r, s) / (r! s!), on
+        the window [0,nx] x [0,ny]."""
+        return cls(tuple(tuple(fn(r, s) for s in range(ny + 1)) for r in range(nx + 1)))
 
     @classmethod
     def constant(cls, c: RationalLike, nx: int, ny: int) -> "BivariateSeries":
@@ -90,7 +90,7 @@ class BivariateSeries:
         for r, s in terms:
             if not (0 <= r <= nx and 0 <= s <= ny):
                 raise ValueError(f"term ({r},{s}) outside window [0,{nx}]x[0,{ny}]")
-        return cls.from_fn(lambda r, s: terms.get((r, s), 0), nx, ny)
+        return cls.from_fn(lambda r, s: terms.get((r, s), 0) * factorial(r) * factorial(s), nx, ny)
 
     @property
     def nx(self) -> int:
@@ -104,7 +104,7 @@ class BivariateSeries:
         """Coefficient of x^r y^s; raises outside the window."""
         if not (0 <= r <= self.nx and 0 <= s <= self.ny):
             raise IndexError(f"({r},{s}) outside window [0,{self.nx}]x[0,{self.ny}]")
-        return self.coeffs[r][s]
+        return Fraction(self.coeffs[r][s], factorial(r) * factorial(s))
 
     def _common_window(self, other: "BivariateSeries") -> tuple[int, int]:
         return min(self.nx, other.nx), min(self.ny, other.ny)
@@ -137,32 +137,23 @@ class BivariateSeries:
             lambda r, s: self.coeffs[r][s] - other.coeffs[r][s], nx, ny
         )
 
-    def __neg__(self) -> "BivariateSeries":
-        return self.scale(-1)
-
-    def scale(self, c: RationalLike) -> "BivariateSeries":
-        c = Fraction(c)
-        return BivariateSeries.from_fn(lambda r, s: self.coeffs[r][s] * c, self.nx, self.ny)
-
-    def __mul__(self, other: "BivariateSeries | RationalLike") -> "BivariateSeries":
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
+    def __mul__(self, other: "BivariateSeries") -> "BivariateSeries":
         if not isinstance(other, BivariateSeries):
             return NotImplemented
         nx, ny = self._common_window(other)
-        # Multiply only nonzero pairs of cells: the Bessel series and the
-        # polynomial (1-x)(1-y) are sparse, and zero cells add nothing.
-        acc = [[Fraction(0)] * (ny + 1) for _ in range(nx + 1)]
+        # The labelled product: cell (r, s) sums C(r,p) C(s,q) A[p][q]
+        # B[r-p][s-q].  Multiply only nonzero pairs of cells: the Bessel
+        # series and the polynomial (1-x)(1-y) are sparse.
+        binom = _pascal(max(nx, ny))
+        acc = [[0] * (ny + 1) for _ in range(nx + 1)]
         right = _terms(other, nx, ny)
         for p, q, a in _terms(self, nx, ny):
             for u, v, b in right:
                 if p + u > nx:
                     break
                 if q + v <= ny:
-                    acc[p + u][q + v] += a * b
-        return BivariateSeries(tuple(tuple(row) for row in acc))
-
-    __rmul__ = __mul__
+                    acc[p + u][q + v] += binom[p + u][p] * binom[q + v][q] * a * b
+        return BivariateSeries(tuple(map(tuple, acc)))
 
     def is_symmetric(self) -> bool:
         """Whether the coefficients are invariant under swapping x and y
@@ -175,25 +166,28 @@ class BivariateSeries:
         )
 
     def _json_dict(self) -> dict:
+        coeffs = [[self.coeff(r, s) for s in range(self.ny + 1)] for r in range(self.nx + 1)]
         return {
             "nx": self.nx,
             "ny": self.ny,
-            "coeffs": [
-                [[str(c.numerator), str(c.denominator)] for c in row]
-                for row in self.coeffs
-            ],
+            "coeffs": [[[str(c.numerator), str(c.denominator)] for c in row] for row in coeffs],
         }
 
     def to_json(self) -> str:
-        """Dump as JSON with numerators and denominators as decimal strings,
-        row-major in the x exponent."""
+        """Dump the coefficients (not the cells) as JSON, numerators and
+        denominators as decimal strings, row-major in the x exponent."""
         return json.dumps(self._json_dict())
 
 
-def _terms(series: BivariateSeries, nx: int, ny: int) -> list[tuple[int, int, Fraction]]:
+def _terms(series: BivariateSeries, nx: int, ny: int) -> list[tuple[int, int, RationalLike]]:
     """The nonzero cells (r, s, c) of series within [0,nx] x [0,ny], in
     row-major order."""
     return [(r, s, c) for r, row in enumerate(series.coeffs[: nx + 1]) for s, c in enumerate(row[: ny + 1]) if c]
+
+
+def _pascal(n: int) -> list[list[int]]:
+    """Rows 0..n of Pascal's triangle: ``_pascal(n)[r][u] = C(r, u)``."""
+    return [[comb(r, u) for u in range(r + 1)] for r in range(n + 1)]
 
 
 def divide_by_unit(num: BivariateSeries, den: BivariateSeries) -> BivariateSeries:
@@ -201,88 +195,81 @@ def divide_by_unit(num: BivariateSeries, den: BivariateSeries) -> BivariateSerie
 
     The denominator must have a nonzero constant term; the quotient cells
     are filled row by row, so every cell the recurrence needs is already
-    available when it is read.
+    available when it is read.  Dividing by (1-x)(1-y) is the integer
+    excess recursion of ``counting._count_grid``.
     """
-    d0 = den.coeff(0, 0)
+    d0 = den.coeffs[0][0]
     if d0 == 0:
         raise ZeroDivisionError("denominator has zero constant term")
+    inverse = 1 if d0 == 1 else 1 / Fraction(d0)
     nx, ny = num._common_window(den)
+    binom = _pascal(max(nx, ny))
     rest = [(u, v, c) for u, v, c in _terms(den, nx, ny) if u or v]
-    q: list[list[Fraction]] = [[Fraction(0)] * (ny + 1) for _ in range(nx + 1)]
+    q: list[list[RationalLike]] = [[0] * (ny + 1) for _ in range(nx + 1)]
     for r in range(nx + 1):
         for s in range(ny + 1):
             acc = num.coeffs[r][s]
             for u, v, c in rest:
                 if u <= r and v <= s:
-                    acc -= q[r - u][s - v] * c
-            q[r][s] = acc / d0
-    return BivariateSeries(tuple(tuple(row) for row in q))
+                    acc -= binom[r][u] * binom[s][v] * c * q[r - u][s - v]
+            q[r][s] = acc * inverse
+    return BivariateSeries(tuple(map(tuple, q)))
 
 
 def integrate_xy(series: BivariateSeries) -> BivariateSeries:
     """Formal double integral in x and y with zero integration constants.
 
-    The (r, s) output coefficient is input (r-1, s-1) divided by r*s; the
-    output's first row and column vanish.  The input's top row and column
-    shift beyond the window and are consumed.
+    The (r, s) output coefficient is input (r-1, s-1) divided by r*s, so
+    the output cell (r, s) is the input cell (r-1, s-1); the output's first
+    row and column vanish.  The input's top row and column shift beyond the
+    window and are consumed.
     """
-    return BivariateSeries.from_fn(
-        lambda r, s: series.coeffs[r - 1][s - 1] / (r * s) if r and s else 0,
-        series.nx,
-        series.ny,
-    )
+    zeros = (0,) * (series.ny + 1)
+    return BivariateSeries((zeros, *((0, *row[:-1]) for row in series.coeffs[:-1])))
 
 
 def partial_xy(series: BivariateSeries) -> BivariateSeries:
-    """Mixed partial derivative; exact left inverse of integrate_xy on the
-    window shrunk by one in each variable."""
+    """Mixed partial derivative: output cell (r, s) is input cell
+    (r+1, s+1).  Exact left inverse of integrate_xy on the window shrunk by
+    one in each variable."""
     if series.nx < 1 or series.ny < 1:
         raise ValueError("window too small to differentiate")
-    return BivariateSeries.from_fn(
-        lambda r, s: series.coeffs[r + 1][s + 1] * (r + 1) * (s + 1),
-        series.nx - 1,
-        series.ny - 1,
-    )
+    return BivariateSeries(tuple(row[1:] for row in series.coeffs[1:]))
 
 
 def diagonal_collapse(series: BivariateSeries) -> tuple[Fraction, ...]:
-    """Specialize y = x: the m-th output coefficient sums the window cells
-    of total degree m.  Requires a square window; only total degrees up to
-    nx stay fully inside it."""
+    """Specialize y = x: the m-th output coefficient sums the window
+    coefficients of total degree m, which is (1/m!) sum_r C(m,r) G[r][m-r]
+    in cells.  Requires a square window; only total degrees up to nx stay
+    fully inside it."""
     if series.nx != series.ny:
         raise ValueError("diagonal collapse needs a square window")
     return tuple(
-        sum((series.coeffs[r][m - r] for r in range(m + 1)), Fraction(0))
+        Fraction(sum(comb(m, r) * series.coeffs[r][m - r] for r in range(m + 1)), factorial(m))
         for m in range(series.nx + 1)
     )
 
 
 def exp_sum_series(nx: int, ny: int) -> BivariateSeries:
-    """e^(x+y): coefficient 1/(a! b!)."""
-    return BivariateSeries.from_fn(
-        lambda a, b: Fraction(1, factorial(a) * factorial(b)), nx, ny
-    )
+    """e^(x+y): coefficient 1/(a! b!), cell 1."""
+    return BivariateSeries.from_fn(lambda a, b: 1, nx, ny)
 
 
 def bessel_i0_series(nx: int, ny: int) -> BivariateSeries:
     """Modified Bessel function I0 evaluated at 2*sqrt(xy): the series
-    sum_m (xy)^m / (m!)^2, supported on the diagonal."""
-    return BivariateSeries.from_fn(
-        lambda r, s: Fraction(1, factorial(r) ** 2) if r == s else 0, nx, ny
-    )
+    sum_m (xy)^m / (m!)^2, cell 1 on the diagonal and 0 off it."""
+    return BivariateSeries.from_fn(lambda r, s: int(r == s), nx, ny)
 
 
 def binomial_egf_series(nx: int, ny: int) -> BivariateSeries:
     """Exponential generating function of the binomial coefficients:
-    coefficient C(r+s, r)/(r! s!)."""
-    return BivariateSeries.from_fn(
-        lambda r, s: Fraction(comb(r + s, r), factorial(r) * factorial(s)), nx, ny
-    )
+    coefficient C(r+s, r)/(r! s!), cell C(r+s, r)."""
+    return BivariateSeries.from_fn(lambda r, s: comb(r + s, r), nx, ny)
 
 
 def geometric_series(nx: int, ny: int) -> BivariateSeries:
-    """1/((1-x)(1-y)): every coefficient is 1."""
-    return BivariateSeries.from_fn(lambda r, s: 1, nx, ny)
+    """1/((1-x)(1-y)): every coefficient is 1, cell r! s!."""
+    return BivariateSeries.from_fn(lambda r, s: factorial(r) * factorial(s), nx, ny)
 
 
 def one_minus_x_minus_y_plus_xy(nx: int, ny: int) -> BivariateSeries:
@@ -296,35 +283,26 @@ def one_minus_x_minus_y_plus_xy(nx: int, ny: int) -> BivariateSeries:
 
 def integrated_binomial_egf(nx: int, ny: int) -> BivariateSeries:
     """Double integral of the binomial EGF with zero integration constants:
-    coefficient C(r+s-2, r-1)/(r! s!) for r, s >= 1 and 0 on the axes.
+    coefficient C(r+s-2, r-1)/(r! s!), cell C(r+s-2, r-1), for r, s >= 1
+    and 0 on the axes.
 
-    The axis coefficients are set to 0 directly rather than through any
+    The axis cells are set to 0 directly rather than through any
     negative-argument binomial convention.
     """
-    return BivariateSeries.from_fn(
-        lambda r, s: (
-            Fraction(binomial(r + s - 2, r - 1), factorial(r) * factorial(s))
-            if r >= 1 and s >= 1
-            else 0
-        ),
-        nx,
-        ny,
-    )
+    return BivariateSeries.from_fn(lambda r, s: comb(r + s - 2, r - 1) if r and s else 0, nx, ny)
 
 
 def count_egf(nx: int, ny: int) -> BivariateSeries:
     """Bivariate EGF of the avoidance counts: coefficient
-    avoider_count(r, r+s) / (r! s!)."""
-    return BivariateSeries.from_fn(
-        lambda r, s: Fraction(avoider_count(r, r + s), factorial(r) * factorial(s)),
-        nx,
-        ny,
-    )
+    avoider_count(r, r+s) / (r! s!), so the cell is the count itself, read
+    off the integer excess recursion (``counting._count_grid``)."""
+    return BivariateSeries(tuple(row[: ny + 1] for row in _count_grid(nx + ny)[: nx + 1]))
 
 
 def excess_ogf(nx: int, ny: int) -> BivariateSeries:
-    """Ordinary generating function of the normalized excess values."""
-    return BivariateSeries.from_fn(normalized_excess, nx, ny)
+    """Ordinary generating function of the normalized excess values
+    count / (r! s!) - 1: cell count - r! s!."""
+    return count_egf(nx, ny) - geometric_series(nx, ny)
 
 
 @dataclass(frozen=True)
@@ -357,9 +335,10 @@ class IdentityReport:
 def _compare(
     key: str, name: str, order: int, left: BivariateSeries, right: BivariateSeries
 ) -> Check:
-    """Check left = right cell by cell on exactly the window [0, order]^2.
-    Series equality holds on the overlap of the windows only, so either
-    side on any other window fails rather than shrinking the check."""
+    """Check left = right cell by cell on exactly the window [0, order]^2;
+    a mismatch is reported in coefficients.  Series equality holds on the
+    overlap of the windows only, so either side on any other window fails
+    rather than shrinking the check."""
     expected = f"[0,{order}]x[0,{order}]"
     windows = [f"[0,{side.nx}]x[0,{side.ny}]" for side in (left, right)]
     if windows != [expected, expected]:
@@ -367,7 +346,7 @@ def _compare(
     for r, (left_row, right_row) in enumerate(zip(left.coeffs, right.coeffs)):
         for s, (a, b) in enumerate(zip(left_row, right_row)):
             if a != b:
-                return Check(key, name, False, f"first mismatch at ({r},{s}): {a} != {b}")
+                return Check(key, name, False, f"first mismatch at ({r},{s}): {left.coeff(r, s)} != {right.coeff(r, s)}")
     return Check(key, name, True, f"exact on {expected}")
 
 
@@ -397,26 +376,28 @@ def main2_checks(order: int) -> tuple[list[Check], BivariateSeries]:
 
     Checks that L is the integral (``integral``) and has the binomial EGF as
     mixed partial (``derivative``), that (1-x-y+xy) times the excess OGF is
-    L (``excess``) and the closed form of K (``count``).  The ``boundary``
-    check evaluates the fraction with boundary rows e^x and e^y instead of
-    zero and passes when its residual against K, which is returned too, is
-    nonzero: the discrepancy between the two conventions is documented
-    rather than patched.
+    L (``excess``) and the closed form of K (``count``).  Both of the last
+    two take K from the closed form ``avoider_count``, evaluated once per
+    cell: ``count_egf`` comes from the same recursion as the division, so
+    comparing it would check the recursion against itself.  The
+    ``boundary`` check evaluates the fraction with boundary rows e^x and e^y
+    instead of zero and passes when its residual against K, which is
+    returned too, is nonzero: the discrepancy between the two conventions
+    is documented rather than patched.
     """
     _check_int("order", order, 2, inf)
     binomial_egf = binomial_egf_series(order, order)
     integrated = integrated_binomial_egf(order, order)
     unit = one_minus_x_minus_y_plus_xy(order, order)
-    counts = count_egf(order, order)
+    counts = BivariateSeries.from_fn(lambda r, s: avoider_count(r, r + s), order, order)
     one = BivariateSeries.constant(1, order, order)
     derivative = partial_xy(integrated_binomial_egf(order + 1, order + 1))
     integral = integrate_xy(binomial_egf)
-    excess = unit * excess_ogf(order, order)
+    excess = unit * (counts - geometric_series(order, order))
     quotient = divide_by_unit(integrated + one, unit)
-    # e^x + e^y - 1 on the axes: 1/r! on the x axis, 1/s! on the y axis.
-    axes = BivariateSeries.from_fn(
-        lambda r, s: Fraction(1, factorial(r + s)) if r * s == 0 else 0, order, order
-    )
+    # e^x + e^y - 1 on the axes: coefficient 1/r! on the x axis and 1/s! on
+    # the y axis, so cell 1 on both.
+    axes = BivariateSeries.from_fn(lambda r, s: int(r * s == 0), order, order)
     residual = divide_by_unit(integrated + axes + one, unit) - counts
     nonzero = sum(1 for row in residual.coeffs for c in row if c != 0)
     checks = [

@@ -21,7 +21,7 @@ from .counting import (
     falling_factorial,
     max_left_avoider_count,
 )
-from .perms import Permutation, _check_int, remove_max, rotate180
+from .perms import BadInputError, Permutation, _check_int, remove_max, rotate180
 from .series import (
     BivariateSeries,
     Check,
@@ -208,7 +208,7 @@ def run_target(
     boundary choice.  Every target refuses an order below 2 and an n_max
     below 1, whether or not its suites use them."""
     if target not in REGISTRY:
-        raise ValueError(f"unknown target {target!r}")
+        raise BadInputError(f"unknown target {target!r}")
     _check_int("order", order, 2, inf)
     _check_int("n_max", n_max, 1, inf)
 

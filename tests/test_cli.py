@@ -136,7 +136,8 @@ class TestCount:
 
 
 # sha256 of stdout, captured before the counts were computed by Horner's
-# rule and the table by the integer recursion.
+# rule and the table by the integer recursion; the verify entries before
+# series cells were stored EGF-scaled.
 PINNED_OUTPUT = {
     ("table", "--n-max", "100"): "be27536949931d10eff8317a47f8f7630bc2d27b3acfb11733951cf01b63cfb8",
     ("table", "--n-max", "100", "--format", "json"): "8ba3df6adcebebd199af31bd78a3ce6e33383efba28c2acdbf1095bd15faf3cb",
@@ -149,6 +150,10 @@ PINNED_OUTPUT = {
         ]
         for method in ("formula", "corollary")
     },
+    ("verify", "--target", "main2", "--order", "22", "--format", "json"): "61b6303be4ff3d8790901c434fad88c4541bb0a3f63f450669f0aaa9f0e376b6",
+    ("verify", "--target", "bessel", "--order", "26", "--format", "json"): "235f167daae0c8c2dcfa54ab44a93135e44cbeb90af4a0a3d171b89406a8eb37",
+    ("verify", "--target", "symmetry", "--order", "20"): "541ff030dcf718745b16dd0e527a8739e5a933873fe4c184d1594d999b0d34b7",
+    ("verify", "--target", "all", "--order", "12", "--n-max", "7", "--format", "json"): "e6763b9228bb45192475c74bc463410e64dcfcf6d3ea1e4e80122e8b96f41f9b",
 }
 
 
@@ -200,6 +205,12 @@ class TestCheck:
     def test_r_out_of_range(self, capsys):
         code, _, _ = run(capsys, "check", "--perm", "312", "--r", "4")
         assert code == 2
+
+    def test_field_past_the_int_digit_cap(self, capsys):
+        # int() refuses a string of more than 4300 digits by default.
+        code, out, err = run(capsys, "check", "--perm", "1" * 5000 + ",1", "--r", "0")
+        assert (code, out) == (2, "")
+        assert "bad permutation text" in err
 
 
 class TestEnumerate:
@@ -350,6 +361,16 @@ class TestVerify:
 class TestUsage:
     def test_no_subcommand(self, capsys):
         assert run(capsys, *[])[0] == 2
+
+    def test_internal_value_error_is_not_a_usage_error(self, monkeypatch):
+        # Exit 2 means bad input only; a fault inside the library must
+        # surface, not read as a usage message.
+        def broken(r, n):
+            raise ValueError("internal fault")
+
+        monkeypatch.setattr(splitpat.cli, "avoider_count", broken)
+        with pytest.raises(ValueError, match="internal fault"):
+            main(["count", "--r", "1", "--n", "2"])
 
     def test_unknown_subcommand(self, capsys):
         assert run(capsys, "frobnicate")[0] == 2

@@ -4,8 +4,11 @@ from math import comb, factorial
 import pytest
 from hypothesis import given, strategies as st
 
+import splitpat.counting
+import splitpat.series
 from splitpat import (
     BivariateSeries,
+    avoider_count,
     bessel_i0_series,
     binomial,
     binomial_egf_series,
@@ -17,6 +20,7 @@ from splitpat import (
     geometric_series,
     integrate_xy,
     integrated_binomial_egf,
+    normalized_excess,
     one_minus_x_minus_y_plus_xy,
     partial_xy,
     verify_identities,
@@ -70,10 +74,7 @@ class TestSeriesBasics:
         s = binomial_egf_series(3, 3)
         zero = BivariateSeries.constant(0, 3, 3)
         assert s + zero == s
-        assert s.scale(0) == zero
         assert s - s == zero
-        assert -s == s.scale(-1)
-        assert 2 * s == s + s
 
     def test_mul_identities(self):
         s = binomial_egf_series(3, 3)
@@ -229,6 +230,23 @@ class TestCalculus:
     def test_partial_inverts_integrate(self, s):
         assert partial_xy(integrate_xy(s)) == s
 
+    @given(small_series())
+    def test_integrate_divides_the_shifted_coefficient(self, s):
+        out = integrate_xy(s)
+        assert (out.nx, out.ny) == (s.nx, s.ny)
+        for r in range(s.nx + 1):
+            for t in range(s.ny + 1):
+                expected = s.coeff(r - 1, t - 1) / (r * t) if r and t else 0
+                assert out.coeff(r, t) == expected
+
+    @given(small_series(min_order=1))
+    def test_partial_multiplies_the_shifted_coefficient(self, s):
+        out = partial_xy(s)
+        assert (out.nx, out.ny) == (s.nx - 1, s.ny - 1)
+        for r in range(s.nx):
+            for t in range(s.ny):
+                assert out.coeff(r, t) == (r + 1) * (t + 1) * s.coeff(r + 1, t + 1)
+
 
 class TestDiagonal:
     def test_binomial_diagonal_value(self):
@@ -249,6 +267,13 @@ class TestDiagonal:
             Fraction(0),
             Fraction(0),
         )
+
+    @given(st.integers(0, 4).flatmap(lambda n: small_series(max_order=n, min_order=n)))
+    def test_sums_the_coefficients_of_each_total_degree(self, s):
+        diag = diagonal_collapse(s)
+        assert len(diag) == s.nx + 1
+        for m, c in enumerate(diag):
+            assert c == sum(s.coeff(r, m - r) for r in range(m + 1))
 
     def test_requires_square_window(self):
         with pytest.raises(ValueError):
@@ -331,3 +356,41 @@ class TestVerifyIdentities:
         boundary = report.by_key("boundary")[0]
         assert boundary.passed
         assert "residual(0,0) = 1" in boundary.detail
+
+
+class TestScaledCells:
+    NAMED = (
+        exp_sum_series,
+        bessel_i0_series,
+        binomial_egf_series,
+        geometric_series,
+        one_minus_x_minus_y_plus_xy,
+        integrated_binomial_egf,
+        count_egf,
+        excess_ogf,
+    )
+
+    def test_cells_are_ints_and_the_count_grids_match_the_closed_form(self):
+        order = 12
+        _, residual = main2_checks(order)
+        for series in (*(factory(order, order) for factory in self.NAMED), residual):
+            assert all(type(c) is int for row in series.coeffs for c in row)
+        counts, excess = count_egf(order, order), excess_ogf(order, order)
+        for r in range(order + 1):
+            for s in range(order + 1):
+                assert counts.coeff(r, s) == Fraction(avoider_count(r, r + s), factorial(r) * factorial(s))
+                assert excess.coeff(r, s) == normalized_excess(r, s)
+
+    def test_main2_compares_with_the_closed_form(self, monkeypatch):
+        # A wrong closed form at one cell must fail count and excess: those
+        # checks do not read the counts off the recursion they check.
+        real = splitpat.counting.avoider_count
+
+        def corrupted(r, n):
+            return real(r, n) + ((r, n) == (2, 5))
+
+        for module in (splitpat.series, splitpat.counting):
+            monkeypatch.setattr(module, "avoider_count", corrupted)
+        checks, _ = main2_checks(6)
+        assert {c.key for c in checks if not c.passed} == {"count", "excess"}
+        assert "first mismatch at (2,3)" in {c.key: c.detail for c in checks}["count"]
