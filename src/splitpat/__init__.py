@@ -37,12 +37,11 @@ from .perms import (
     insert_max,
     is_avoider,
     is_fiber_bundle,
-    left_values,
     parse_permutation,
     rank_function,
     remove_max,
-    right_values,
     rotate180,
+    split_witnesses,
 )
 from .series import (
     BivariateSeries,

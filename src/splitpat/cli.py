@@ -25,7 +25,7 @@ from .counting import (
     build_count_table,
     enumerate_avoiders,
 )
-from .perms import PATTERN_23_1, PATTERN_3_12, BadInputError, contains_split, parse_permutation
+from .perms import BadInputError, parse_permutation, split_witnesses
 from .verify import TARGETS, run_target
 
 
@@ -72,10 +72,21 @@ def cmd_count(args: argparse.Namespace) -> int:
     return 0
 
 
+def _perm_text(perm: str) -> str:
+    """The --perm value, or the text on stdin when it is "-"."""
+    if perm != "-":
+        return perm
+    if sys.stdin is None:  # started with stdin closed
+        raise BadInputError("bad permutation text: --perm - but stdin is closed")
+    try:
+        return sys.stdin.read()
+    except UnicodeDecodeError:
+        raise BadInputError("bad permutation text: stdin is not ASCII") from None
+
+
 def cmd_check(args: argparse.Namespace) -> int:
-    w = parse_permutation(args.perm)
-    witness_3_12 = contains_split(w, PATTERN_3_12, args.r)
-    witness_23_1 = contains_split(w, PATTERN_23_1, args.r)
+    w = parse_permutation(_perm_text(args.perm))
+    witness_3_12, witness_23_1 = split_witnesses(w, args.r)
     avoids = witness_3_12 is None and witness_23_1 is None
     print(
         json.dumps(
@@ -157,7 +168,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("check", help="test one permutation at one position")
-    p.add_argument("--perm", type=str, required=True, help='compact ("315642") or comma form')
+    p.add_argument(
+        "--perm",
+        type=str,
+        required=True,
+        help='compact ("315642") or comma form; "-" reads the permutation from stdin',
+    )
     p.add_argument("--r", type=int, required=True)
     p.set_defaults(func=cmd_check)
 

@@ -1,10 +1,14 @@
 import hashlib
 import io
 import json
+import os
+import random
+import subprocess
 import sys
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,10 +16,11 @@ from hypothesis import given, settings, strategies as st
 import splitpat.cli
 import splitpat.series
 import splitpat.verify
+from splitpat import PATTERN_23_1, PATTERN_3_12, PatternWitness, Permutation, is_avoider
 from splitpat.cli import main
 from splitpat.counting import SearchLimitError
 from splitpat.verify import TARGETS, run_target
-from support import TABLE1
+from support import TABLE1, assert_valid_witness
 
 GOLDEN = Path(__file__).parent / "golden"
 NAMED_SERIES = (
@@ -213,6 +218,98 @@ class TestCheck:
         assert "bad permutation text" in err
 
 
+def _avoider_and_contained(n, r, seed):
+    """A random avoider at r of size n, built by sorting the two forced runs
+    (right values below the left maximum, left values above the right
+    minimum) into decreasing order, and a copy in which swapping two
+    adjacent members of the longer run creates an ascent, hence a pattern."""
+    rng = random.Random(seed)
+    vals = list(range(1, n + 1))
+    rng.shuffle(vals)
+    top, bottom = max(vals[:r]), min(vals[r:])
+    runs = [
+        [p for p in range(r, n) if vals[p] < top],
+        [p for p in range(r) if vals[p] > bottom],
+    ]
+    for run in runs:
+        for p, v in zip(run, sorted((vals[p] for p in run), reverse=True)):
+            vals[p] = v
+    contained = list(vals)
+    run = max(runs, key=len)
+    a, b = run[len(run) // 2], run[len(run) // 2 + 1]
+    contained[a], contained[b] = contained[b], contained[a]
+    return Permutation(vals), Permutation(contained)
+
+
+class TestCheckFromStdin:
+    """``--perm -`` reads the permutation text from stdin, so it is not
+    bounded by the operating system's limit on one argv string."""
+
+    def run_stdin(self, capsys, monkeypatch, stdin, *argv):
+        monkeypatch.setattr(sys, "stdin", stdin)
+        return run(capsys, "check", "--perm", "-", *argv)
+
+    def test_large_avoider_and_non_avoider(self, capsys, monkeypatch):
+        n, r = 10**5, 50_000
+        avoider, contained = _avoider_and_contained(n, r, seed=8)
+        assert is_avoider(avoider, r) and not is_avoider(contained, r)
+        for w, expected in ((avoider, 0), (contained, 1)):
+            text = ",".join(map(str, w)) + "\n"
+            code, out, err = self.run_stdin(capsys, monkeypatch, io.StringIO(text), "--r", str(r))
+            assert (code, err) == (expected, "")
+            data = json.loads(out)
+            assert data["avoids"] is data["fiber_bundle"] is (expected == 0)
+            witnesses = [data["witness_3_12"], data["witness_23_1"]]
+            for pattern, indices in zip((PATTERN_3_12, PATTERN_23_1), witnesses):
+                if indices is not None:
+                    assert_valid_witness(w, pattern, r, PatternWitness(tuple(indices)))
+
+    def test_same_output_as_argv(self, capsys, monkeypatch):
+        expected = run(capsys, "check", "--perm", "315642", "--r", "3")
+        assert self.run_stdin(capsys, monkeypatch, io.StringIO("315642\n"), "--r", "3") == expected
+
+    @pytest.mark.parametrize(
+        "data, errors",
+        [
+            (b"3,1,\xff2", "strict"),
+            (b"3,1,\xff2", "surrogateescape"),
+            ("\uff13\uff11\uff12".encode(), "strict"),  # fullwidth 312
+            ("\uff13,\uff11,\uff12".encode(), "strict"),
+        ],
+        ids=["undecodable", "undecodable-escaped", "fullwidth-compact", "fullwidth-commas"],
+    )
+    def test_rejects_text_that_is_not_ascii_digits(self, capsys, monkeypatch, data, errors):
+        stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors=errors)
+        code, out, err = self.run_stdin(capsys, monkeypatch, stdin, "--r", "1")
+        assert (code, out) == (2, "")
+        assert err.startswith("splitpat: error: bad permutation text")
+
+    def test_closed_stdin(self, capsys, monkeypatch):
+        code, out, err = self.run_stdin(capsys, monkeypatch, None, "--r", "0")
+        assert (code, out) == (2, "")
+        assert err.startswith("splitpat: error: bad permutation text")
+
+    @pytest.mark.parametrize("flaw", ["x", "1"], ids=["not-a-digit", "repeated-value"])
+    def test_large_bad_input_gets_a_short_message(self, capsys, monkeypatch, flaw):
+        text = ",".join(map(str, range(1, 10**5 + 1))) + "," + flaw
+        code, out, err = self.run_stdin(capsys, monkeypatch, io.StringIO(text), "--r", "1")
+        assert (code, out) == (2, "")
+        assert err.startswith("splitpat: error: ") and len(err) < 200
+
+    def test_undecodable_bytes_through_a_real_stdin(self):
+        src = str(Path(splitpat.cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-m", "splitpat.cli", "check", "--perm", "-", "--r", "1"],
+            input=b"3,1,\xff2\n",
+            capture_output=True,
+            env=env,
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (2, b"")
+        assert proc.stderr.startswith(b"splitpat: error: bad permutation text")
+
+
 class TestEnumerate:
     def test_small_class(self, capsys):
         code, out, _ = run(capsys, "enumerate", "--r", "1", "--n", "3")
@@ -385,6 +482,15 @@ SIZES = st.sampled_from([*map(str, range(-3, 7)), "11", "2.0"])
 GUARDS = st.sampled_from(["-1", "0", "3", "6"])
 
 
+# A --perm value of "-" reads the same kind of text from stdin.
+PERM_TEXT = st.one_of(
+    st.integers(0, 7).flatmap(lambda k: st.permutations(range(1, k + 1))).map(
+        lambda vals: ",".join(map(str, vals))
+    ),
+    st.text("0123456789,+- x", max_size=8),
+)
+
+
 def _flag(name, values, optional=True):
     pair = values.map(lambda value: [name, value])
     return st.one_of(st.just([]), pair) if optional else pair
@@ -406,16 +512,7 @@ def argvs(draw):
             _flag("--unsafe-n-max", GUARDS),
         ],
         "check": [
-            _flag(
-                "--perm",
-                st.one_of(
-                    st.integers(0, 7).flatmap(lambda k: st.permutations(range(1, k + 1))).map(
-                        lambda vals: ",".join(map(str, vals))
-                    ),
-                    st.text("0123456789,+- x", max_size=8),
-                ),
-                False,
-            ),
+            _flag("--perm", st.one_of(st.just("-"), PERM_TEXT), False),
             _flag("--r", SIZES, False),
         ],
         "enumerate": [
@@ -437,10 +534,10 @@ def argvs(draw):
 
 class TestArgvProperty:
     @settings(max_examples=300, deadline=None)
-    @given(argvs())
-    def test_every_invocation_ends_in_a_known_exit_code(self, argv):
+    @given(argvs(), PERM_TEXT)
+    def test_every_invocation_ends_in_a_known_exit_code(self, argv, stdin):
         out, err = io.StringIO(), io.StringIO()
-        with redirect_stdout(out), redirect_stderr(err):
+        with redirect_stdout(out), redirect_stderr(err), mock.patch("sys.stdin", io.StringIO(stdin)):
             code = main(argv)
         assert code in (0, 1, 2, 3)
         assert "Traceback" not in err.getvalue()

@@ -17,12 +17,10 @@ from splitpat import (
     enumerate_avoiders,
     falling_factorial,
     is_avoider,
-    left_values,
     max_left_avoider_count,
     normalized_excess,
     parse_permutation,
     partition_by_smallest_right,
-    right_values,
 )
 from support import TABLE1, closed_form_double_sum
 
@@ -113,7 +111,7 @@ class TestMaxLeftCount:
                 observed = sum(
                     1
                     for w in enumerate_avoiders(r, n)
-                    if n in left_values(w, r)
+                    if n in w.values[:r]
                 )
                 assert max_left_avoider_count(r, n) == observed
 
@@ -226,8 +224,8 @@ class TestSmallestRightPartition:
     def test_paper_example_membership(self):
         w = parse_permutation("391276854")
         assert is_avoider(w, 6)
-        assert 9 in left_values(w, 6)
-        assert min(right_values(w, 6)) == 4
+        assert 9 in w.values[:6]
+        assert min(w.values[6:]) == 4
 
     def test_classes_partition_the_max_left_side(self):
         for n in range(2, 7):
@@ -379,8 +377,8 @@ class TestFiberStructure:
         for n in range(1, 7):
             for r in range(n + 1):
                 members = enumerate_avoiders(r, n)
-                max_left = [w for w in members if n in left_values(w, r)]
-                max_right = [w for w in members if n in right_values(w, r)]
+                max_left = [w for w in members if n in w.values[:r]]
+                max_right = [w for w in members if n in w.values[r:]]
                 assert len(max_left) + len(max_right) == avoider_count(r, n)
                 if r <= n - 1:
                     fibers = Counter(remove_max(w) for w in max_right)

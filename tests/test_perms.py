@@ -15,12 +15,11 @@ from splitpat import (
     insert_max,
     is_avoider,
     is_fiber_bundle,
-    left_values,
     parse_permutation,
     rank_function,
     remove_max,
-    right_values,
     rotate180,
+    split_witnesses,
 )
 from support import assert_valid_witness, oracle_contains, oracle_witnesses
 
@@ -171,7 +170,7 @@ class TestContainsSplit:
         # Bools and floats compare equal to ints but are not positions.
         with pytest.raises(ValueError):
             contains_split(w, PATTERN_23_1, True)
-        for check in (is_avoider, is_fiber_bundle, left_values, right_values):
+        for check in (is_avoider, is_fiber_bundle, split_witnesses):
             with pytest.raises(ValueError):
                 check(w, 1.5)
             with pytest.raises(ValueError):
@@ -284,24 +283,23 @@ class TestAvoiderPredicate:
         assert expected is False  # (5,6) ascend right of 4 below the left max 7
 
 
-class TestValueSets:
-    def test_paper_example(self):
-        w = parse_permutation("7361254")
-        assert left_values(w, 4) == {1, 3, 6, 7}
-        assert right_values(w, 4) == {2, 4, 5}
+class TestSplitWitnesses:
+    """The linear scan must give contains_split's witness index for index."""
 
-    def test_edge_positions(self):
-        w = parse_permutation("312")
-        assert left_values(w, 0) == set()
-        assert right_values(w, 3) == set()
+    @staticmethod
+    def searched(w, r):
+        return contains_split(w, PATTERN_3_12, r), contains_split(w, PATTERN_23_1, r)
 
-    @given(perm_and_position())
-    def test_partition_of_values(self, wr):
+    def test_equals_contains_split_exhaustive(self):
+        for n in range(8):
+            for w in all_perms(n):
+                for r in range(n + 1):
+                    assert split_witnesses(w, r) == self.searched(w, r), (w, r)
+
+    @given(long_perm_and_position())
+    def test_equals_contains_split_beyond_exhaustive_range(self, wr):
         w, r = wr
-        left, right = left_values(w, r), right_values(w, r)
-        assert left | right == set(range(1, w.n + 1))
-        assert left & right == set()
-        assert len(left) == r
+        assert split_witnesses(w, r) == self.searched(w, r)
 
 
 class TestStructuralMaps:
