@@ -63,8 +63,6 @@ def cmd_count(args: argparse.Namespace) -> int:
     if args.method == "formula":
         value = avoider_count(args.r, args.n)
     elif args.method == "corollary":
-        if args.r < 1:
-            return _fail_usage("--method corollary needs r >= 1")
         value = avoider_count_by_peeling(args.r, args.n)
     else:
         value = brute_count(args.r, args.n, limit=args.unsafe_n_max)

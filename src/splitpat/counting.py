@@ -47,6 +47,8 @@ class SearchLimitError(ValueError):
 
 
 def _check_limit(n: int, limit: int) -> None:
+    # A malformed guard is bad input; only a valid one refuses a search.
+    _check_int("limit", limit, 0, inf)
     if n > limit:
         raise SearchLimitError(
             f"exhaustive search over S_{n} exceeds the guard ({limit}); "

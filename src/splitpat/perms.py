@@ -8,8 +8,7 @@ and the first j chosen positions lie at or before r while the remaining ones
 lie strictly after.  The permutations avoiding both built-in patterns with
 respect to r form the classes counted in splitpat.counting; the same
 condition characterises when the projection of the associated Schubert
-variety to the rank-r Grassmannian is a fiber bundle, hence the
-``is_fiber_bundle`` alias.
+variety to the rank-r Grassmannian is a fiber bundle.
 
 Positions and values are 1-based in every public interface; the empty
 permutation (n = 0) is valid.
@@ -19,7 +18,6 @@ from __future__ import annotations
 
 import reprlib
 from dataclasses import dataclass
-from math import inf
 from typing import Iterator
 
 __all__ = [
@@ -29,17 +27,13 @@ __all__ = [
     "PatternWitness",
     "PATTERN_3_12",
     "PATTERN_23_1",
-    "identity",
     "parse_permutation",
     "format_permutation",
     "contains_split",
     "split_witnesses",
     "is_avoider",
-    "is_fiber_bundle",
     "remove_max",
-    "insert_max",
     "rotate180",
-    "rank_function",
 ]
 
 
@@ -91,12 +85,6 @@ class Permutation:
 
     def __str__(self) -> str:
         return format_permutation(self)
-
-
-def identity(n: int) -> Permutation:
-    """The identity permutation 1 2 ... n."""
-    _check_int("size n", n, 0, inf)
-    return Permutation(tuple(range(1, n + 1)))
 
 
 def parse_permutation(text: str) -> Permutation:
@@ -326,18 +314,6 @@ def is_avoider(w: Permutation, r: int) -> bool:
     return _avoids(w.values, r)
 
 
-def is_fiber_bundle(w: Permutation, r: int) -> bool:
-    """Whether projecting the Schubert variety of w to the rank-r
-    Grassmannian gives a Zariski-locally trivial fiber bundle.
-
-    The verdict is identical to ``is_avoider(w, r)``; the name records the
-    geometric meaning.  Requires 1 <= r <= n since the projection needs a
-    proper rank.
-    """
-    _check_int("position r", r, 1, w.n)
-    return _avoids(w.values, r)
-
-
 def remove_max(w: Permutation) -> Permutation:
     """Delete the maximal value n from the one-line notation.
 
@@ -347,19 +323,6 @@ def remove_max(w: Permutation) -> Permutation:
     if w.n == 0:
         raise ValueError("cannot remove from the empty permutation")
     return Permutation(tuple(v for v in w.values if v != w.n))
-
-
-def insert_max(w: Permutation, pos: int) -> Permutation:
-    """Insert a new maximal value n+1 at position pos (1 <= pos <= n+1).
-
-    Inverse of remove_max: ``remove_max(insert_max(w, pos)) == w``.
-
-    >>> str(insert_max(parse_permutation("43215"), 4))
-    '432615'
-    """
-    _check_int("position pos", pos, 1, w.n + 1)
-    vals = w.values
-    return Permutation(vals[: pos - 1] + (w.n + 1,) + vals[pos - 1 :])
 
 
 def rotate180(w: Permutation) -> Permutation:
@@ -374,16 +337,3 @@ def rotate180(w: Permutation) -> Permutation:
     """
     n = w.n
     return Permutation(tuple(n + 1 - v for v in reversed(w.values)))
-
-
-def rank_function(w: Permutation, i: int, j: int) -> int:
-    """Number of positions k <= j whose value w(k) <= i.
-
-    Monotone nondecreasing in both arguments, with value n at (n, n); these
-    counts define the incidence conditions cut out by the Schubert variety
-    of w.
-    """
-    n = w.n
-    _check_int("value bound i", i, 0, n)
-    _check_int("position bound j", j, 0, n)
-    return sum(1 for v in w.values[:j] if v <= i)

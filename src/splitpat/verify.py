@@ -205,12 +205,13 @@ def run_target(
 ) -> tuple[list[Check], BivariateSeries | None]:
     """Run one verification target and return its checks plus, for the
     targets that compute it, the residual of the alternative exponential
-    boundary choice.  Every target refuses an order below 2 and an n_max
-    below 1, whether or not its suites use them."""
+    boundary choice.  Every target refuses an order below 2, an n_max below
+    1 and a negative limit, whether or not its suites use them."""
     if target not in REGISTRY:
         raise BadInputError(f"unknown target {target!r}")
     _check_int("order", order, 2, inf)
     _check_int("n_max", n_max, 1, inf)
+    _check_int("limit", limit, 0, inf)
 
     checks: list[Check] = []
     residual: BivariateSeries | None = None

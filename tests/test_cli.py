@@ -16,7 +16,14 @@ from hypothesis import given, settings, strategies as st
 import splitpat.cli
 import splitpat.series
 import splitpat.verify
-from splitpat import PATTERN_23_1, PATTERN_3_12, PatternWitness, Permutation, is_avoider
+from splitpat import (
+    PATTERN_23_1,
+    PATTERN_3_12,
+    BadInputError,
+    PatternWitness,
+    Permutation,
+    is_avoider,
+)
 from splitpat.cli import main
 from splitpat.counting import SearchLimitError
 from splitpat.verify import TARGETS, run_target
@@ -111,9 +118,9 @@ class TestCount:
         assert out == "16\n"
 
     def test_corollary_needs_positive_r(self, capsys):
-        code, _, err = run(capsys, "count", "--r", "0", "--n", "4", "--method", "corollary")
-        assert code == 2
-        assert "r >= 1" in err
+        code, out, err = run(capsys, "count", "--r", "0", "--n", "4", "--method", "corollary")
+        assert (code, out) == (2, "")
+        assert err == "splitpat: error: r must be an int in 1..4, got 0\n"
 
     def test_r_out_of_range(self, capsys):
         code, _, _ = run(capsys, "count", "--r", "5", "--n", "3")
@@ -427,6 +434,12 @@ class TestVerify:
         with pytest.raises(ValueError):
             run_target(target, order=order, n_max=n_max)
 
+    @pytest.mark.parametrize("target", ["oracle", "bessel"])
+    @pytest.mark.parametrize("limit", [-1, True, 2.0])
+    def test_run_target_refuses_a_malformed_guard(self, target, limit):
+        with pytest.raises(BadInputError, match="limit must be an int"):
+            run_target(target, order=4, n_max=4, limit=limit)
+
     @pytest.mark.parametrize("suite", ["oracle_checks", "structure_checks"])
     def test_exhaustive_suite_refuses_before_sweeping(self, monkeypatch, suite):
         def refuse(*args, **kwargs):
@@ -458,6 +471,20 @@ class TestVerify:
 class TestUsage:
     def test_no_subcommand(self, capsys):
         assert run(capsys, *[])[0] == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("count", "--r", "1", "--n", "3", "--method", "brute"),
+            ("enumerate", "--r", "1", "--n", "3"),
+            ("verify", "--target", "oracle"),
+            ("verify", "--target", "bessel", "--order", "4"),
+        ],
+    )
+    def test_negative_guard_is_bad_input(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--unsafe-n-max", "-1")
+        assert (code, out) == (2, "")
+        assert err == "splitpat: error: limit must be an int in 0..inf, got -1\n"
 
     def test_internal_value_error_is_not_a_usage_error(self, monkeypatch):
         # Exit 2 means bad input only; a fault inside the library must

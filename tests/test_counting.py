@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from splitpat import (
+    BadInputError,
     Permutation,
     SearchLimitError,
     avoider_count,
@@ -209,6 +210,14 @@ class TestBruteForce:
         # Callers treating guard refusals as bad input keep working.
         with pytest.raises(ValueError):
             brute_count(0, 11)
+
+    @pytest.mark.parametrize("limit", [-1, True, 2.0])
+    def test_malformed_guard_is_bad_input(self, limit):
+        # A guard that is not a nonnegative int is refused as such, not
+        # read as a guard that every size exceeds.
+        for sweep in (brute_count, enumerate_avoiders):
+            with pytest.raises(BadInputError, match="limit must be an int"):
+                sweep(1, 3, limit=limit)
 
 
 class TestSmallestRightPartition:

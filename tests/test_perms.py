@@ -11,12 +11,8 @@ from splitpat import (
     SplitPattern,
     contains_split,
     format_permutation,
-    identity,
-    insert_max,
     is_avoider,
-    is_fiber_bundle,
     parse_permutation,
-    rank_function,
     remove_max,
     rotate180,
     split_witnesses,
@@ -64,12 +60,6 @@ class TestPermutation:
 
     def test_empty_allowed(self):
         assert Permutation(()).n == 0
-        assert identity(0) == Permutation(())
-
-    def test_identity_needs_a_nonnegative_int_size(self):
-        for n in (-1, True, 2.0):
-            with pytest.raises(ValueError):
-                identity(n)
 
     @pytest.mark.parametrize(
         "values",
@@ -101,7 +91,7 @@ class TestTextFormat:
         assert w.values == (3, 1, 5, 6, 4, 2)
 
     def test_large_sizes_use_commas(self):
-        w = identity(10)
+        w = Permutation(range(1, 11))
         text = str(w)
         assert text == "1,2,3,4,5,6,7,8,9,10"
         assert parse_permutation(text) == w
@@ -170,7 +160,7 @@ class TestContainsSplit:
         # Bools and floats compare equal to ints but are not positions.
         with pytest.raises(ValueError):
             contains_split(w, PATTERN_23_1, True)
-        for check in (is_avoider, is_fiber_bundle, split_witnesses):
+        for check in (is_avoider, split_witnesses):
             with pytest.raises(ValueError):
                 check(w, 1.5)
             with pytest.raises(ValueError):
@@ -264,24 +254,6 @@ class TestAvoiderPredicate:
                 assert is_avoider(w, 0)
                 assert is_avoider(w, n)
 
-    def test_fiber_bundle_alias(self):
-        assert not is_fiber_bundle(parse_permutation("315642"), 3)
-        for r in range(1, 6):
-            assert is_fiber_bundle(identity(5), r)
-
-    def test_fiber_bundle_needs_positive_rank(self):
-        with pytest.raises(ValueError):
-            is_fiber_bundle(identity(3), 0)
-
-    def test_fiber_bundle_brute_verdict(self):
-        w = parse_permutation("7361254")
-        assert is_fiber_bundle(w, 4) == is_avoider(w, 4)
-        expected = not oracle_contains(w, PATTERN_3_12, 4) and not oracle_contains(
-            w, PATTERN_23_1, 4
-        )
-        assert is_fiber_bundle(w, 4) == expected
-        assert expected is False  # (5,6) ascend right of 4 below the left max 7
-
 
 class TestSplitWitnesses:
     """The linear scan must give contains_split's witness index for index."""
@@ -312,31 +284,16 @@ class TestStructuralMaps:
         with pytest.raises(ValueError):
             remove_max(Permutation(()))
 
-    def test_insert_max_examples(self):
-        assert str(insert_max(parse_permutation("43215"), 4)) == "432615"
-        assert insert_max(Permutation(()), 1) == Permutation((1,))
-        assert str(insert_max(parse_permutation("43215"), 6)) == "432156"
-
-    def test_insert_max_bounds(self):
-        with pytest.raises(ValueError):
-            insert_max(parse_permutation("21"), 0)
-        with pytest.raises(ValueError):
-            insert_max(parse_permutation("21"), 4)
-        with pytest.raises(ValueError):
-            insert_max(parse_permutation("21"), 2.0)
-        with pytest.raises(ValueError):
-            insert_max(parse_permutation("21"), True)
-
     @given(perm_and_position())
     def test_insert_then_remove_round_trip(self, wr):
         w, r = wr
         pos = r + 1 if r < w.n else w.n + 1
-        assert remove_max(insert_max(w, pos)) == w
-        assert insert_max(w, pos).w(pos) == w.n + 1
+        inserted = Permutation(w.values[: pos - 1] + (w.n + 1,) + w.values[pos - 1 :])
+        assert remove_max(inserted) == w
 
     def test_rotate180_examples(self):
         assert str(rotate180(parse_permutation("315642"))) == "531264"
-        assert rotate180(identity(5)) == identity(5)
+        assert rotate180(Permutation(range(1, 6))) == Permutation(range(1, 6))
         assert rotate180(Permutation(())) == Permutation(())
 
     @given(perm_and_position())
@@ -366,48 +323,3 @@ class TestStructuralMaps:
                         assert is_avoider(remove_max(w), r)
                     else:
                         assert is_avoider(remove_max(w), r - 1)
-
-    def test_insert_max_right_of_r_keeps_avoidance(self):
-        for n in range(1, 7):
-            for w in all_perms(n - 1):
-                for r in range(n):
-                    if not is_avoider(w, r):
-                        continue
-                    for pos in range(r + 1, n + 1):
-                        assert is_avoider(insert_max(w, pos), r)
-
-
-class TestRankFunction:
-    def test_example(self):
-        w = parse_permutation("315642")
-        assert rank_function(w, 3, 3) == 2
-
-    def test_boundary_values(self):
-        w = parse_permutation("4213")
-        for j in range(5):
-            assert rank_function(w, 0, j) == 0
-            assert rank_function(w, 4, j) == j
-        assert rank_function(w, 4, 4) == 4
-
-    def test_bounds(self):
-        w = parse_permutation("21")
-        with pytest.raises(ValueError):
-            rank_function(w, 3, 1)
-        with pytest.raises(ValueError):
-            rank_function(w, 1, -1)
-        with pytest.raises(ValueError):
-            rank_function(w, 1.5, 1)
-        with pytest.raises(ValueError):
-            rank_function(w, 1, True)
-
-    @given(perm_and_position())
-    def test_monotone(self, wr):
-        w, _ = wr
-        n = w.n
-        for i in range(n + 1):
-            for j in range(n + 1):
-                v = rank_function(w, i, j)
-                if i < n:
-                    assert v <= rank_function(w, i + 1, j)
-                if j < n:
-                    assert v <= rank_function(w, i, j + 1)
