@@ -6,7 +6,8 @@ success (or "avoids" for check), 1 when check finds a contained pattern or
 a verification target fails, 2 for bad input, 3 when a brute-force request
 exceeds the exhaustive-search guard.  Arguments are checked by the library
 functions that use them; ``main`` is the one place where their refusals
-(``BadInputError`` and ``SearchLimitError``) become exit codes.  Any other
+(``BadInputError`` and ``SearchLimitError``) become exit codes, and a
+refused option value is reported under the option's name.  Any other
 exception is a fault and propagates.
 """
 
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from math import inf
 
 from .counting import (
     DEFAULT_SEARCH_LIMIT,
@@ -32,6 +34,29 @@ from .verify import TARGETS, run_target
 def _fail_usage(message: str) -> int:
     print(f"splitpat: error: {message}", file=sys.stderr)
     return 2
+
+
+# The option that supplies each argument the library checks, by the
+# library's name for that argument.
+_OPTIONS = {
+    "n": "--n",
+    "r": "--r",
+    "position r": "--r",
+    "n_max": "--n-max",
+    "r_max": "--r-max",
+    "order": "--order",
+    "limit": "--unsafe-n-max",
+}
+
+
+def _usage_message(exc: BadInputError) -> str:
+    """The refusal's text, naming the option where the refused value came
+    from one."""
+    if exc.argument is None or exc.argument[0] not in _OPTIONS:
+        return str(exc)
+    name, lo, hi, value = exc.argument
+    allowed = f">= {lo}" if hi == inf else f"in {lo}..{hi}"
+    return f"{_OPTIONS[name]} must be an int {allowed}, got {value!r}"
 
 
 # CPython 3.10.7 and later refuse str() of an int past a digit cap (4300 by
@@ -205,7 +230,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"splitpat: error: {exc}", file=sys.stderr)
         return 3
     except BadInputError as exc:
-        return _fail_usage(str(exc))
+        return _fail_usage(_usage_message(exc))
 
 
 if __name__ == "__main__":

@@ -39,7 +39,16 @@ __all__ = [
 
 class BadInputError(ValueError):
     """Raised when an argument or an input text is refused; the CLI maps
-    exactly this error to exit 2."""
+    exactly this error to exit 2.
+
+    A refused argument value also carries ``argument``, the (name, lo, hi,
+    value) of the failed range check, so a front end can name the argument
+    in its own terms; for any other refusal it is None.
+    """
+
+    def __init__(self, message: str, argument: tuple | None = None) -> None:
+        super().__init__(message)
+        self.argument = argument
 
 
 @dataclass(frozen=True)
@@ -120,7 +129,9 @@ def format_permutation(w: Permutation) -> str:
 def _check_int(name: str, value: int, lo: int, hi: int) -> None:
     # Floats and bools compare equal to ints, so the type itself is tested.
     if type(value) is not int or not lo <= value <= hi:
-        raise BadInputError(f"{name} must be an int in {lo}..{hi}, got {value!r}")
+        raise BadInputError(
+            f"{name} must be an int in {lo}..{hi}, got {value!r}", (name, lo, hi, value)
+        )
 
 
 @dataclass(frozen=True)
@@ -275,7 +286,8 @@ def _witness_23_1(vals: tuple[int, ...], r: int) -> PatternWitness | None:
 
 
 def _avoids(vals: tuple[int, ...], r: int) -> bool:
-    """Raw-tuple avoidance test used by the brute-force sweeps.
+    """Raw-tuple avoidance test behind ``is_avoider`` and the full S_n sweep
+    of ``enumerate_avoiders``.
 
     w contains 3|12 at r iff two right-block values below max(left block)
     ascend, and contains 23|1 at r iff two left-block values above

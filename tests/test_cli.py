@@ -120,7 +120,7 @@ class TestCount:
     def test_corollary_needs_positive_r(self, capsys):
         code, out, err = run(capsys, "count", "--r", "0", "--n", "4", "--method", "corollary")
         assert (code, out) == (2, "")
-        assert err == "splitpat: error: r must be an int in 1..4, got 0\n"
+        assert err == "splitpat: error: --r must be an int in 1..4, got 0\n"
 
     def test_r_out_of_range(self, capsys):
         code, _, _ = run(capsys, "count", "--r", "5", "--n", "3")
@@ -440,6 +440,17 @@ class TestVerify:
         with pytest.raises(BadInputError, match="limit must be an int"):
             run_target(target, order=4, n_max=4, limit=limit)
 
+    def test_oracle_flags_a_corrupted_closed_form(self, monkeypatch):
+        closed_form = splitpat.verify.avoider_count
+
+        def off_by_one_at_2_5(r, n):
+            return closed_form(r, n) + ((r, n) == (2, 5))
+
+        monkeypatch.setattr(splitpat.verify, "avoider_count", off_by_one_at_2_5)
+        checks = splitpat.verify.oracle_checks(6)
+        assert [c.passed for c in checks] == [True] * 5 + [False, True]
+        assert checks[5].detail == "disagreement at r=2: [47, 48]"
+
     @pytest.mark.parametrize("suite", ["oracle_checks", "structure_checks"])
     def test_exhaustive_suite_refuses_before_sweeping(self, monkeypatch, suite):
         def refuse(*args, **kwargs):
@@ -484,7 +495,23 @@ class TestUsage:
     def test_negative_guard_is_bad_input(self, capsys, argv):
         code, out, err = run(capsys, *argv, "--unsafe-n-max", "-1")
         assert (code, out) == (2, "")
-        assert err == "splitpat: error: limit must be an int in 0..inf, got -1\n"
+        assert err == "splitpat: error: --unsafe-n-max must be an int >= 0, got -1\n"
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("verify", "--target", "oracle", "--n-max", "0"), "--n-max must be an int >= 1, got 0"),
+            (("verify", "--target", "bessel", "--order", "1"), "--order must be an int >= 2, got 1"),
+            (("count", "--r", "5", "--n", "3"), "--r must be an int in 0..3, got 5"),
+            (("count", "--r", "1", "--n", "-1"), "--n must be an int >= 0, got -1"),
+            (("check", "--perm", "123", "--r", "4"), "--r must be an int in 0..3, got 4"),
+            (("table", "--n-max", "5", "--r-max", "-1"), "--r-max must be an int >= 0, got -1"),
+        ],
+    )
+    def test_refusal_names_the_option(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"splitpat: error: {message}\n"
 
     def test_internal_value_error_is_not_a_usage_error(self, monkeypatch):
         # Exit 2 means bad input only; a fault inside the library must
@@ -570,3 +597,6 @@ class TestArgvProperty:
         assert "Traceback" not in err.getvalue()
         if code in (2, 3):
             assert out.getvalue() == ""
+        if "must be an int" in err.getvalue():
+            # A refused value is reported under the option that supplied it.
+            assert err.getvalue().startswith("splitpat: error: --")

@@ -5,6 +5,8 @@ from math import comb, factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import splitpat.counting
+
 from splitpat import (
     BadInputError,
     Permutation,
@@ -191,9 +193,38 @@ class TestBruteForce:
         assert members == sorted(members, key=lambda w: w.values)
 
     def test_counts_match_closed_form(self):
-        for n in range(7):
+        for n in range(10):
             for r in range(n + 1):
-                assert brute_count(r, n) == avoider_count(r, n)
+                assert brute_count(r, n) == avoider_count(r, n), (r, n)
+
+    def test_block_product_equals_the_full_sweep(self):
+        # enumerate_avoiders tests every permutation of S_n with _avoids, a
+        # different predicate from brute_count's per-block tests.
+        for n in range(9):
+            for r in range(n + 1):
+                assert brute_count(r, n) == len(enumerate_avoiders(r, n)), (r, n)
+
+    def test_oracle_needs_no_predicate_formula_or_factorial(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("brute_count must stay an independent oracle")
+
+        for name in (
+            "_avoids",
+            "avoider_count",
+            "avoider_count_by_peeling",
+            "max_left_avoider_count",
+            "_count_grid",
+            "binomial",
+            "falling_factorial",
+            "comb",
+            "factorial",
+        ):
+            monkeypatch.setattr(splitpat.counting, name, forbidden)
+        for (r, n), expected in TABLE1.items():
+            if n <= 7:
+                assert brute_count(r, n) == brute_count(n - r, n) == expected, (r, n)
+        assert brute_count(3, 7) == 676
+        assert brute_count(2, 5) == 47
 
     def test_table_cardinality(self):
         assert len(enumerate_avoiders(2, 4)) == 14
