@@ -7,8 +7,8 @@ a verification target fails, 2 for bad input, 3 when a brute-force request
 exceeds the exhaustive-search guard.  Arguments are checked by the library
 functions that use them; ``main`` is the one place where their refusals
 (``BadInputError`` and ``SearchLimitError``) become exit codes, and a
-refused option value is reported under the option's name.  Any other
-exception is a fault and propagates.
+refused option value, or a guard refusal, is reported under the option's
+name.  Any other exception is a fault and propagates.
 """
 
 from __future__ import annotations
@@ -78,9 +78,9 @@ def cmd_table(args: argparse.Namespace) -> int:
         return _fail_usage(f"--n-max must be in 1..100, got {args.n_max}")
     table = build_count_table(args.n_max)
     if args.format == "csv":
-        sys.stdout.write(table.to_csv(r_max=args.r_max, n_min=1))
+        sys.stdout.write(table.to_csv(r_max=args.r_max))
     else:
-        print(table.to_json(r_max=args.r_max, n_min=1))
+        print(table.to_json(r_max=args.r_max))
     return 0
 
 
@@ -151,7 +151,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                         {"key": c.key, "name": c.name, "passed": c.passed, "detail": c.detail}
                         for c in checks
                     ],
-                    "boundary_residual": None if residual is None else residual._json_dict(),
+                    "boundary_residual": None if residual is None else residual.to_dict(),
                 }
             )
         )
@@ -227,7 +227,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except SearchLimitError as exc:
-        print(f"splitpat: error: {exc}", file=sys.stderr)
+        print(
+            f"splitpat: error: size {exc.size} exceeds the exhaustive-search guard "
+            f"({exc.limit}); raise it with {_OPTIONS['limit']} to proceed",
+            file=sys.stderr,
+        )
         return 3
     except BadInputError as exc:
         return _fail_usage(_usage_message(exc))

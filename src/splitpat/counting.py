@@ -4,9 +4,12 @@ Counts come from three independent routes: a brute-force oracle that
 sweeps the orderings of each block of every split of the values, a
 closed-form double sum, and a peeling recurrence that repeatedly removes the
 maximal value.  The count table is filled from the integer form of the
-excess recursion instead; the closed form is its independent check.  All
-arithmetic is arbitrary-precision integer or rational; nothing here touches
-floating point, so every table entry is bit-exact no matter how large.
+excess recursion instead; the closed form is its independent check, and
+``check_excess_recursion`` lists the cells where the two disagree.  All
+arithmetic is arbitrary-precision integer or rational, with binomials and
+falling factorials from ``math.comb`` and ``math.perm``; nothing here
+touches floating point, so every table entry is bit-exact no matter how
+large.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import comb, factorial, inf
+from math import comb, factorial, inf, perm
 from typing import Callable
 
 from .perms import Permutation, _avoids, _check_int
@@ -23,8 +26,6 @@ from .perms import Permutation, _avoids, _check_int
 __all__ = [
     "DEFAULT_SEARCH_LIMIT",
     "SearchLimitError",
-    "falling_factorial",
-    "binomial",
     "avoider_count",
     "max_left_avoider_count",
     "avoider_count_by_peeling",
@@ -32,7 +33,6 @@ __all__ = [
     "brute_count",
     "partition_by_smallest_right",
     "normalized_excess",
-    "RecursionReport",
     "check_excess_recursion",
     "CountTable",
     "build_count_table",
@@ -46,46 +46,26 @@ DEFAULT_SEARCH_LIMIT = 10
 
 
 class SearchLimitError(ValueError):
-    """Raised when a brute-force sweep would exceed the size guard."""
+    """Raised when a brute-force sweep would exceed the size guard.
+
+    It carries ``size`` and ``limit``, the refused size and the guard, so a
+    front end can name the guard in its own terms.
+    """
+
+    def __init__(self, size: int, limit: int) -> None:
+        super().__init__(
+            f"size {size} exceeds the exhaustive-search guard (limit={limit}); "
+            f"raise the limit explicitly to proceed"
+        )
+        self.size = size
+        self.limit = limit
 
 
 def _check_limit(n: int, limit: int) -> None:
     # A malformed guard is bad input; only a valid one refuses a search.
     _check_int("limit", limit, 0, inf)
     if n > limit:
-        raise SearchLimitError(
-            f"exhaustive search over S_{n} exceeds the guard ({limit}); "
-            f"raise the limit explicitly to proceed"
-        )
-
-
-def falling_factorial(m: int, i: int) -> int:
-    """Product m(m-1)...(m-i+1) of i factors; the empty product (i=0) is 1.
-
-    >>> falling_factorial(5, 2)
-    20
-    >>> falling_factorial(3, 5)
-    0
-    """
-    _check_int("m", m, -inf, inf)
-    _check_int("length i", i, 0, inf)
-    out = 1
-    for t in range(i):
-        out *= m - t
-    return out
-
-
-def binomial(n: int, k: int) -> int:
-    """Binomial coefficient with the convention C(n, k) = 0 for k < 0 or k > n.
-
-    The top argument must be nonnegative; no generalized-binomial extension
-    is offered because none of the closed forms here ever needs one.
-    """
-    _check_int("top argument n", n, 0, inf)
-    _check_int("k", k, -inf, inf)
-    if k < 0 or k > n:
-        return 0
-    return comb(n, k)
+        raise SearchLimitError(n, limit)
 
 
 def avoider_count(r: int, n: int) -> int:
@@ -123,12 +103,8 @@ def max_left_avoider_count(r: int, n: int) -> int:
     _check_int("r", r, 1, n)
     if r == n:
         return factorial(r)
-    total = 0
-    ff = 1  # (r)_{i-1}
-    for i in range(1, r + 1):
-        total += binomial(n - i - 1, r - i) * ff
-        ff *= r - i + 1
-    return total
+    # (r)_{i-1} is perm(r, i - 1); every argument is in range as 1 <= i <= r < n.
+    return sum(comb(n - i - 1, r - i) * perm(r, i - 1) for i in range(1, r + 1))
 
 
 def avoider_count_by_peeling(r: int, n: int) -> int:
@@ -247,20 +223,7 @@ def normalized_excess(r: int, s: int) -> Fraction:
     return Fraction(avoider_count(r, r + s), factorial(r) * factorial(s)) - 1
 
 
-@dataclass(frozen=True)
-class RecursionReport:
-    """Outcome of checking the excess recursion on a grid of cells."""
-
-    r_max: int
-    s_max: int
-    violations: tuple[tuple[int, int], ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def check_excess_recursion(r_max: int, s_max: int) -> RecursionReport:
+def check_excess_recursion(r_max: int, s_max: int) -> list[tuple[int, int]]:
     """Check that the normalized excess satisfies, for all cells in
     [1, r_max] x [1, s_max],
 
@@ -272,8 +235,9 @@ def check_excess_recursion(r_max: int, s_max: int) -> RecursionReport:
 
         K(r,s) = s K(r,s-1) + r K(r-1,s) - r s K(r-1,s-1) + C(r+s-2, r-1),
 
-    which fails at exactly the same cells and is what gets tested.
-    Violations are report content, not errors.
+    which fails at exactly the same cells and is what gets tested.  Returns
+    the violating cells (r, s) in row-major order: violations are a result,
+    not errors.
     """
     _check_int("r_max", r_max, 1, inf)
     _check_int("s_max", s_max, 1, inf)
@@ -284,7 +248,7 @@ def check_excess_recursion(r_max: int, s_max: int) -> RecursionReport:
             expected = s * k[(r, s - 1)] + r * k[(r - 1, s)] - r * s * k[(r - 1, s - 1)] + comb(r + s - 2, r - 1)
             if k[(r, s)] != expected:
                 violations.append((r, s))
-    return RecursionReport(r_max, s_max, tuple(violations))
+    return violations
 
 
 @dataclass(frozen=True)
@@ -301,29 +265,30 @@ class CountTable:
         return self.entries[(r, n)]
 
     def rows(
-        self, r_max: int | None = None, n_min: int = 0
+        self, r_max: int | None = None
     ) -> list[tuple[int, int, int]]:
-        """(r, n, count) triples sorted by (n, r), optionally filtered."""
+        """(r, n, count) triples with n >= 1 sorted by (n, r), optionally
+        only those with r <= r_max."""
         if r_max is not None:
             _check_int("r_max", r_max, 0, inf)
         out = [
             (r, n, k)
             for (r, n), k in self.entries.items()
-            if n >= n_min and (r_max is None or r <= r_max)
+            if n >= 1 and (r_max is None or r <= r_max)
         ]
         out.sort(key=lambda row: (row[1], row[0]))
         return out
 
-    def to_csv(self, r_max: int | None = None, n_min: int = 0) -> str:
+    def to_csv(self, r_max: int | None = None) -> str:
         lines = ["r,n,k"]
-        lines.extend(f"{r},{n},{k}" for r, n, k in self.rows(r_max, n_min))
+        lines.extend(f"{r},{n},{k}" for r, n, k in self.rows(r_max))
         return "\n".join(lines) + "\n"
 
-    def to_json(self, r_max: int | None = None, n_min: int = 0) -> str:
+    def to_json(self, r_max: int | None = None) -> str:
         # Counts are serialized as decimal strings so consumers with fixed
         # integer widths can still read large factorials.
         return json.dumps(
-            [{"r": r, "n": n, "k": str(k)} for r, n, k in self.rows(r_max, n_min)]
+            [{"r": r, "n": n, "k": str(k)} for r, n, k in self.rows(r_max)]
         )
 
 

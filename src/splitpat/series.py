@@ -1,28 +1,29 @@
 """Truncated bivariate formal power series, stored EGF-scaled.
 
-A series holds a rectangular window of cells G[r][s] = r! s! c[r][s], where
-c[r][s] is the coefficient of x^r y^s, for 0 <= r <= nx, 0 <= s <= ny.  In
-this basis every named generating function is a grid of ints, a product is
-the labelled product of Flajolet and Sedgewick (the binomial convolution),
-and the mixed integral and derivative are index shifts; only ``coeff`` and
-the JSON form divide by r! s!.  Coefficients outside the window are
+A series holds a rectangular window of integer cells G[r][s] = r! s! c[r][s],
+where c[r][s] is the coefficient of x^r y^s, for 0 <= r <= nx, 0 <= s <= ny.
+In this basis every named generating function is a grid of ints, a product
+is the labelled product of Flajolet and Sedgewick (the binomial
+convolution), the mixed integral and derivative are index shifts, and
+division by a series with constant term 1 stays in the integers; only
+``coeff`` and the JSON form divide by r! s!.  Coefficients outside the window are
 undefined, never assumed zero: binary operations act on the intersection of
 the operand windows and equality compares there too, so a low-order
 truncation equals any higher order truncation of the same series.  Two
 functions check the identities linking the series cell by cell with zero
 tolerance, one per group of identities, each building every series it needs
 once: ``bessel_checks`` (the Bessel factorization of the binomial EGF and
-its diagonal) and ``main2_checks`` (the count EGF and its companions);
-``verify_identities`` runs both.
+its diagonal) and ``main2_checks`` (the count EGF and its companions), each
+returning a list of ``Check``; ``verify_identities`` runs both and returns
+the checks with the boundary residual, as ``main2_checks`` does.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, inf
-from typing import Callable, Mapping
+from typing import Callable
 
 from .counting import _count_grid, avoider_count
 from .perms import _check_int
@@ -42,25 +43,20 @@ __all__ = [
     "count_egf",
     "excess_ogf",
     "Check",
-    "IdentityReport",
     "bessel_checks",
     "main2_checks",
     "verify_identities",
 ]
 
-RationalLike = Fraction | int
-
-
 @dataclass(frozen=True, eq=False)
 class BivariateSeries:
     """Rectangular truncation of a formal power series in x and y.
 
-    ``coeffs[r][s]`` is the cell r! s! times the coefficient of x^r y^s:
-    an int in every named series, a Fraction only where a caller puts one.
+    ``coeffs[r][s]`` is the int cell r! s! times the coefficient of x^r y^s.
     Instances are immutable and safe to share.
     """
 
-    coeffs: tuple[tuple[RationalLike, ...], ...]
+    coeffs: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
         rows = tuple(map(tuple, self.coeffs))
@@ -72,25 +68,15 @@ class BivariateSeries:
 
     @classmethod
     def from_fn(
-        cls, fn: Callable[[int, int], RationalLike], nx: int, ny: int
+        cls, fn: Callable[[int, int], int], nx: int, ny: int
     ) -> "BivariateSeries":
         """Series with cell fn(r, s), so coefficient fn(r, s) / (r! s!), on
         the window [0,nx] x [0,ny]."""
         return cls(tuple(tuple(fn(r, s) for s in range(ny + 1)) for r in range(nx + 1)))
 
     @classmethod
-    def constant(cls, c: RationalLike, nx: int, ny: int) -> "BivariateSeries":
+    def constant(cls, c: int, nx: int, ny: int) -> "BivariateSeries":
         return cls.from_fn(lambda r, s: c if r == s == 0 else 0, nx, ny)
-
-    @classmethod
-    def from_terms(
-        cls, terms: Mapping[tuple[int, int], RationalLike], nx: int, ny: int
-    ) -> "BivariateSeries":
-        """Series with the given monomial coefficients, zero elsewhere."""
-        for r, s in terms:
-            if not (0 <= r <= nx and 0 <= s <= ny):
-                raise ValueError(f"term ({r},{s}) outside window [0,{nx}]x[0,{ny}]")
-        return cls.from_fn(lambda r, s: terms.get((r, s), 0) * factorial(r) * factorial(s), nx, ny)
 
     @property
     def nx(self) -> int:
@@ -165,7 +151,9 @@ class BivariateSeries:
             if s <= self.nx and r <= self.ny
         )
 
-    def _json_dict(self) -> dict:
+    def to_dict(self) -> dict:
+        """The JSON form: the coefficients (not the cells), numerators and
+        denominators as decimal strings, row-major in the x exponent."""
         coeffs = [[self.coeff(r, s) for s in range(self.ny + 1)] for r in range(self.nx + 1)]
         return {
             "nx": self.nx,
@@ -173,13 +161,8 @@ class BivariateSeries:
             "coeffs": [[[str(c.numerator), str(c.denominator)] for c in row] for row in coeffs],
         }
 
-    def to_json(self) -> str:
-        """Dump the coefficients (not the cells) as JSON, numerators and
-        denominators as decimal strings, row-major in the x exponent."""
-        return json.dumps(self._json_dict())
 
-
-def _terms(series: BivariateSeries, nx: int, ny: int) -> list[tuple[int, int, RationalLike]]:
+def _terms(series: BivariateSeries, nx: int, ny: int) -> list[tuple[int, int, int]]:
     """The nonzero cells (r, s, c) of series within [0,nx] x [0,ny], in
     row-major order."""
     return [(r, s, c) for r, row in enumerate(series.coeffs[: nx + 1]) for s, c in enumerate(row[: ny + 1]) if c]
@@ -193,26 +176,24 @@ def _pascal(n: int) -> list[list[int]]:
 def divide_by_unit(num: BivariateSeries, den: BivariateSeries) -> BivariateSeries:
     """Quotient Q with Q * den = num on the common window.
 
-    The denominator must have a nonzero constant term; the quotient cells
-    are filled row by row, so every cell the recurrence needs is already
-    available when it is read.  Dividing by (1-x)(1-y) is the integer
-    excess recursion of ``counting._count_grid``.
+    The denominator must have constant term 1, as (1-x)(1-y) has, so the
+    quotient cells stay ints; they are filled row by row, so every cell the
+    recurrence needs is already available when it is read.  Dividing by
+    (1-x)(1-y) is the integer excess recursion of ``counting._count_grid``.
     """
-    d0 = den.coeffs[0][0]
-    if d0 == 0:
-        raise ZeroDivisionError("denominator has zero constant term")
-    inverse = 1 if d0 == 1 else 1 / Fraction(d0)
+    if den.coeffs[0][0] != 1:
+        raise ValueError(f"denominator must have constant term 1, got {den.coeffs[0][0]}")
     nx, ny = num._common_window(den)
     binom = _pascal(max(nx, ny))
     rest = [(u, v, c) for u, v, c in _terms(den, nx, ny) if u or v]
-    q: list[list[RationalLike]] = [[0] * (ny + 1) for _ in range(nx + 1)]
+    q = [[0] * (ny + 1) for _ in range(nx + 1)]
     for r in range(nx + 1):
         for s in range(ny + 1):
             acc = num.coeffs[r][s]
             for u, v, c in rest:
                 if u <= r and v <= s:
                     acc -= binom[r][u] * binom[s][v] * c * q[r - u][s - v]
-            q[r][s] = acc * inverse
+            q[r][s] = acc
     return BivariateSeries(tuple(map(tuple, q)))
 
 
@@ -276,9 +257,9 @@ def one_minus_x_minus_y_plus_xy(nx: int, ny: int) -> BivariateSeries:
     """The polynomial 1 - x - y + xy = (1-x)(1-y)."""
     if nx < 1 or ny < 1:
         raise ValueError("window must reach degree 1 in each variable")
-    return BivariateSeries.from_terms(
-        {(0, 0): 1, (1, 0): -1, (0, 1): -1, (1, 1): 1}, nx, ny
-    )
+    # r! s! = 1 on all four cells, so each cell is its coefficient.
+    cells = {(0, 0): 1, (1, 0): -1, (0, 1): -1, (1, 1): 1}
+    return BivariateSeries.from_fn(lambda r, s: cells.get((r, s), 0), nx, ny)
 
 
 def integrated_binomial_egf(nx: int, ny: int) -> BivariateSeries:
@@ -314,22 +295,6 @@ class Check:
     name: str
     passed: bool
     detail: str = ""
-
-
-@dataclass(frozen=True)
-class IdentityReport:
-    """Coefficient-exact verification of the series identities."""
-
-    order: int
-    checks: tuple[Check, ...]
-    stated_boundary_residual: BivariateSeries
-
-    @property
-    def ok(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def by_key(self, *keys: str) -> tuple[Check, ...]:
-        return tuple(c for c in self.checks if c.key in keys)
 
 
 def _compare(
@@ -415,9 +380,10 @@ def main2_checks(order: int) -> tuple[list[Check], BivariateSeries]:
     return checks, residual
 
 
-def verify_identities(order: int) -> IdentityReport:
+def verify_identities(order: int) -> tuple[list[Check], BivariateSeries]:
     """Check every series identity on the window [0, order]^2, exactly: the
-    ``bessel_checks`` and then the ``main2_checks``."""
+    ``bessel_checks`` and then the ``main2_checks``, returned with the
+    boundary residual of ``main2_checks``."""
     bessel = bessel_checks(order)
     main2, residual = main2_checks(order)
-    return IdentityReport(order, (*bessel, *main2), residual)
+    return bessel + main2, residual

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import chain
-from math import factorial, inf
+from math import comb, factorial, inf, perm
 from typing import Callable
 
 from .counting import (
@@ -14,11 +14,9 @@ from .counting import (
     _check_limit,
     avoider_count,
     avoider_count_by_peeling,
-    binomial,
     brute_count,
     check_excess_recursion,
     enumerate_avoiders,
-    falling_factorial,
     max_left_avoider_count,
 )
 from .perms import BadInputError, Permutation, _check_int, remove_max, rotate180
@@ -114,7 +112,7 @@ def structure_checks(n_max: int, limit: int = DEFAULT_SEARCH_LIMIT) -> list[Chec
             if 1 <= r < n:
                 sizes = Counter(min(w.values[r:]) for w in max_left)
                 if sizes != {
-                    i: binomial(n - i - 1, r - i) * falling_factorial(r, i - 1)
+                    i: comb(n - i - 1, r - i) * perm(r, i - 1)
                     for i in range(1, r + 1)
                 }:
                     partition_ok = False
@@ -167,13 +165,13 @@ def symmetry_checks(order: int) -> list[Check]:
 
 
 def recursion_checks(order: int) -> list[Check]:
-    report = check_excess_recursion(order, order)
+    violations = check_excess_recursion(order, order)
     return [
         Check(
             "recursion",
             f"excess recursion holds on [1,{order}]x[1,{order}]",
-            report.ok,
-            "" if report.ok else f"violations at {list(report.violations)[:5]}",
+            not violations,
+            f"violations at {violations[:5]}" if violations else "",
         )
     ]
 

@@ -20,7 +20,6 @@ from splitpat import (
     avoider_count,
     avoider_count_by_peeling,
     bessel_i0_series,
-    binomial,
     binomial_egf_series,
     brute_count,
     check_excess_recursion,
@@ -117,29 +116,26 @@ def test_criterion_4_structural_suite():
 def test_criterion_5_series_identities():
     def body():
         start = time.perf_counter()
-        report = verify_identities(12)
-        failed = [c for c in report.checks if not c.passed]
+        checks, residual = verify_identities(12)
+        failed = [c for c in checks if not c.passed]
         assert not failed, failed
-        assert check_excess_recursion(12, 12).ok
+        assert check_excess_recursion(12, 12) == []
         # Discrepancy of the stated exponential boundary is documented, not
         # patched: its residual is computed and is nonzero.
-        assert report.stated_boundary_residual.coeff(0, 0) == 1
+        assert residual.coeff(0, 0) == 1
         elapsed = time.perf_counter() - start
         assert elapsed < 10.0, f"took {elapsed:.2f}s"
 
     _report("criterion 5: series identities + recursion exact at order 12 (< 10 s)", body)
 
 
-def _random_fraction(rng):
-    return Fraction(rng.randint(-8, 8), rng.randint(1, 9))
-
-
 def _random_series(rng, max_order=4, min_order=0):
+    # Int cells r! s! c[r][s] already give rational coefficients c.
     nx = rng.randint(min_order, max_order)
     ny = rng.randint(min_order, max_order)
     return BivariateSeries(
         tuple(
-            tuple(_random_fraction(rng) for _ in range(ny + 1))
+            tuple(rng.randint(-8, 8) for _ in range(ny + 1))
             for _ in range(nx + 1)
         )
     )
@@ -159,26 +155,25 @@ def test_criterion_6_property_suite():
                 if witness is not None:
                     assert_valid_witness(w, pattern, r, witness)
 
-        # Integrate/partial inverse pair on random rational grids; the pair
+        # Integrate/partial inverse pair on random grids; the pair
         # needs at least one differentiable degree in each variable.
         for _ in range(120):
             s = _random_series(rng, min_order=1)
             assert partial_xy(integrate_xy(s)) == s
 
-        # Unit division inverse on random instances.
+        # Division inverse on random denominators with constant term 1.
         for _ in range(120):
             num = _random_series(rng)
             den = _random_series(rng)
-            if den.coeff(0, 0) == 0:
-                den = den + BivariateSeries.constant(1, den.nx, den.ny)
+            den = BivariateSeries(((1, *den.coeffs[0][1:]), *den.coeffs[1:]))
             assert divide_by_unit(num, den) * den == num
 
         # Vandermonde cells up to (10, 10).
         for r in range(11):
             for s in range(11):
                 assert sum(
-                    binomial(r, m) * binomial(s, s - m) for m in range(min(r, s) + 1)
-                ) == binomial(r + s, s)
+                    comb(r, m) * comb(s, s - m) for m in range(min(r, s) + 1)
+                ) == comb(r + s, s)
 
         # Symmetry of every named series.
         for factory in (

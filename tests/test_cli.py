@@ -106,6 +106,16 @@ class TestCount:
         assert out == ""
         assert "guard" in err
 
+    def test_guard_refusal_names_the_option_not_a_sweep(self, capsys):
+        # brute_count sweeps each block's orderings, never S_11 itself.
+        code, out, err = run(capsys, "count", "--r", "5", "--n", "11", "--method", "brute")
+        assert (code, out) == (3, "")
+        assert "--unsafe-n-max" in err and "S_11" not in err
+        assert err == (
+            "splitpat: error: size 11 exceeds the exhaustive-search guard (10); "
+            "raise it with --unsafe-n-max to proceed\n"
+        )
+
     def test_unsafe_n_max_lowers_and_raises_the_guard(self, capsys):
         code, _, _ = run(
             capsys, "count", "--r", "1", "--n", "4", "--method", "brute", "--unsafe-n-max", "3"

@@ -1,6 +1,6 @@
 import json
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, perm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,12 +13,10 @@ from splitpat import (
     SearchLimitError,
     avoider_count,
     avoider_count_by_peeling,
-    binomial,
     brute_count,
     build_count_table,
     check_excess_recursion,
     enumerate_avoiders,
-    falling_factorial,
     is_avoider,
     max_left_avoider_count,
     normalized_excess,
@@ -26,33 +24,6 @@ from splitpat import (
     partition_by_smallest_right,
 )
 from support import TABLE1, closed_form_double_sum
-
-
-class TestFallingFactorial:
-    @pytest.mark.parametrize(
-        "m,i,expected",
-        [(5, 2, 20), (7, 0, 1), (0, 0, 1), (3, 5, 0), (-2, 2, 6), (4, 4, 24)],
-    )
-    def test_values(self, m, i, expected):
-        assert falling_factorial(m, i) == expected
-
-    def test_negative_length_rejected(self):
-        for m, i in [(5, -1), (5.0, 2), (5, 2.0), (True, 2), (5, True)]:
-            with pytest.raises(ValueError):
-                falling_factorial(m, i)
-
-
-class TestBinomial:
-    @pytest.mark.parametrize(
-        "n,k,expected", [(4, 2, 6), (3, -1, 0), (0, 0, 1), (3, 5, 0), (10, 10, 1)]
-    )
-    def test_values(self, n, k, expected):
-        assert binomial(n, k) == expected
-
-    def test_negative_top_rejected(self):
-        for n, k in [(-1, 0), (4.0, 2), (4, 2.0), (True, 0), (4, True)]:
-            with pytest.raises(ValueError):
-                binomial(n, k)
 
 
 class TestClosedForm:
@@ -146,7 +117,7 @@ class TestPeelingRoute:
         for n in range(1, 31):
             for r in range(1, n + 1):
                 literal = sum(
-                    falling_factorial(n - r, j) * max_left_avoider_count(r, n - j)
+                    perm(n - r, j) * max_left_avoider_count(r, n - j)
                     for j in range(n - r + 1)
                 )
                 assert avoider_count_by_peeling(r, n) == literal, (r, n)
@@ -214,10 +185,9 @@ class TestBruteForce:
             "avoider_count_by_peeling",
             "max_left_avoider_count",
             "_count_grid",
-            "binomial",
-            "falling_factorial",
             "comb",
             "factorial",
+            "perm",
         ):
             monkeypatch.setattr(splitpat.counting, name, forbidden)
         for (r, n), expected in TABLE1.items():
@@ -236,6 +206,12 @@ class TestBruteForce:
         with pytest.raises(SearchLimitError):
             enumerate_avoiders(2, 5, limit=4)
         assert brute_count(2, 5, limit=5) == 47
+
+    def test_guard_refusal_carries_size_and_limit(self):
+        with pytest.raises(SearchLimitError) as refused:
+            enumerate_avoiders(2, 5, limit=4)
+        assert (refused.value.size, refused.value.limit) == (5, 4)
+        assert "S_5" not in str(refused.value)
 
     def test_guard_is_a_value_error(self):
         # Callers treating guard refusals as bad input keep working.
@@ -303,9 +279,7 @@ class TestNormalizedExcess:
 
 class TestExcessRecursion:
     def test_holds_on_12_grid(self):
-        report = check_excess_recursion(12, 12)
-        assert report.ok
-        assert report.violations == ()
+        assert check_excess_recursion(12, 12) == []
 
     def test_cell_2_2_expansion(self):
         lhs = normalized_excess(2, 2)
@@ -313,13 +287,13 @@ class TestExcessRecursion:
             normalized_excess(2, 1)
             + normalized_excess(1, 2)
             - normalized_excess(1, 1)
-            + Fraction(binomial(2, 1), factorial(2) * factorial(2))
+            + Fraction(comb(2, 1), factorial(2) * factorial(2))
         )
         assert lhs == rhs == Fraction(5, 2)
         assert normalized_excess(2, 1) == Fraction(3, 2)
 
     def test_cell_1_1_initial_conditions(self):
-        assert normalized_excess(1, 1) == 0 + 0 - 0 + Fraction(binomial(0, 0), 1)
+        assert normalized_excess(1, 1) == 0 + 0 - 0 + Fraction(comb(0, 0), 1)
 
     def test_integer_form_flags_the_rational_violations(self, monkeypatch):
         # Corrupt one count; the integer recursion must fail at exactly the
@@ -338,10 +312,10 @@ class TestExcessRecursion:
             != normalized_excess(r, s - 1)
             + normalized_excess(r - 1, s)
             - normalized_excess(r - 1, s - 1)
-            + Fraction(binomial(r + s - 2, r - 1), factorial(r) * factorial(s))
+            + Fraction(comb(r + s - 2, r - 1), factorial(r) * factorial(s))
         ]
         assert rational
-        assert list(check_excess_recursion(4, 4).violations) == rational
+        assert check_excess_recursion(4, 4) == rational
 
     def test_rejects_bad_bounds(self):
         for r_max, s_max in [(0, 3), (3, 0), (True, 2), (2, True), (2.0, 2), (2, 2.0)]:
@@ -369,7 +343,6 @@ class TestCountTable:
         text = build_count_table(2).to_csv()
         assert text.splitlines() == [
             "r,n,k",
-            "0,0,1",
             "0,1,1",
             "1,1,1",
             "0,2,2",
@@ -378,7 +351,7 @@ class TestCountTable:
         ]
 
     def test_csv_filters(self):
-        text = build_count_table(9).to_csv(r_max=4, n_min=1)
+        text = build_count_table(9).to_csv(r_max=4)
         rows = text.splitlines()[1:]
         assert len(rows) == len(TABLE1) == 39
         for row in rows:
@@ -386,7 +359,7 @@ class TestCountTable:
             assert TABLE1[(r, n)] == k
 
     def test_json_uses_decimal_strings(self):
-        data = json.loads(build_count_table(3).to_json(n_min=1))
+        data = json.loads(build_count_table(3).to_json())
         assert data[0] == {"r": 0, "n": 1, "k": "1"}
         assert all(isinstance(entry["k"], str) for entry in data)
         assert [entry["n"] for entry in data] == sorted(entry["n"] for entry in data)

@@ -1,6 +1,8 @@
-"""The package surface and the README's library example."""
+"""The package surface, the names the benchmark tracer wraps and the
+README's library example."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
@@ -8,9 +10,44 @@ import pytest
 import splitpat
 from splitpat import counting, perms, series
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
+SPANS_SOURCE = ROOT / "perfbench" / "spans.py"
 MODULES = (perms, counting, series)
-DELETED = ("identity", "insert_max", "rank_function", "is_fiber_bundle")
+DELETED = (
+    "identity",
+    "insert_max",
+    "rank_function",
+    "is_fiber_bundle",
+    "RecursionReport",
+    "IdentityReport",
+    "RationalLike",
+    "BivariateSeries.from_terms",
+    "binomial",
+    "falling_factorial",
+)
+
+
+def _resolves(module, dotted):
+    obj = module
+    for part in dotted.split("."):
+        if not hasattr(obj, part):
+            return False
+        obj = getattr(obj, part)
+    return True
+
+
+def _traced_names():
+    """The (module, attribute) pairs of ``SPANS`` in perfbench/spans.py,
+    read from its source without importing it."""
+    tree = ast.parse(SPANS_SOURCE.read_text())
+    (node,) = (
+        stmt.value
+        for stmt in tree.body
+        if isinstance(stmt, ast.Assign) and [t.id for t in stmt.targets if isinstance(t, ast.Name)] == ["SPANS"]
+    )
+    spans = eval(compile(ast.Expression(node), str(SPANS_SOURCE), "eval"), {"__builtins__": {}})
+    return [(module, attr) for module, attr, _ in spans]
 
 
 class TestSurface:
@@ -32,8 +69,21 @@ class TestSurface:
 
     @pytest.mark.parametrize("name", DELETED)
     def test_deleted_names_are_gone(self, name):
-        assert not hasattr(splitpat, name)
-        assert not hasattr(perms, name)
+        for module in (splitpat, *MODULES):
+            assert not _resolves(module, name), module.__name__
+
+
+def test_every_traced_name_resolves():
+    # The tracer looks these up by name and cannot wrap a deleted one; it
+    # also replaces counting._avoids and BivariateSeries.__post_init__ to
+    # count, and unpacks divide_by_unit's arguments as (num, den).
+    import splitpat.cli  # noqa: F401  (loads every module SPANS names)
+
+    names = _traced_names()
+    assert ("series", "verify_identities") in names
+    for module, attr in [*names, ("counting", "_avoids"), ("series", "BivariateSeries.__post_init__")]:
+        assert _resolves(getattr(splitpat, module), attr), f"{module}.{attr}"
+    assert list(inspect.signature(series.divide_by_unit).parameters) == ["num", "den"]
 
 
 def test_readme_library_example_shows_its_results():
@@ -58,4 +108,5 @@ def test_readme_library_example_shows_its_results():
         "47",
         "47",
         "True",
+        "Fraction(1, 1)",
     ]
