@@ -27,7 +27,7 @@ from .counting import (
     build_count_table,
     enumerate_avoiders,
 )
-from .perms import BadInputError, parse_permutation, split_witnesses
+from .perms import BadInputError, _check_int, parse_permutation, split_witnesses
 from .verify import TARGETS, run_target
 
 
@@ -74,8 +74,7 @@ def _decimal(value: int) -> str:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    if not 1 <= args.n_max <= 100:
-        return _fail_usage(f"--n-max must be in 1..100, got {args.n_max}")
+    _check_int("n_max", args.n_max, 1, 100)
     table = build_count_table(args.n_max)
     if args.format == "csv":
         sys.stdout.write(table.to_csv(r_max=args.r_max))
@@ -116,8 +115,8 @@ def cmd_check(args: argparse.Namespace) -> int:
             {
                 "avoids": avoids,
                 "fiber_bundle": avoids,
-                "witness_3_12": None if witness_3_12 is None else list(witness_3_12.indices),
-                "witness_23_1": None if witness_23_1 is None else list(witness_23_1.indices),
+                "witness_3_12": None if witness_3_12 is None else list(witness_3_12),
+                "witness_23_1": None if witness_23_1 is None else list(witness_23_1),
             }
         )
     )

@@ -258,7 +258,6 @@ class CountTable:
     Treat ``entries`` as read-only after construction.
     """
 
-    n_max: int
     entries: dict[tuple[int, int], int]
 
     def k(self, r: int, n: int) -> int:
@@ -324,4 +323,4 @@ def build_count_table(n_max: int) -> CountTable:
     _check_int("n_max", n_max, 1, inf)
     grid = _count_grid(n_max)
     entries = {(r, n): grid[r][n - r] for n in range(n_max + 1) for r in range(n + 1)}
-    return CountTable(n_max, entries)
+    return CountTable(entries)

@@ -10,21 +10,19 @@ respect to r form the classes counted in splitpat.counting; the same
 condition characterises when the projection of the associated Schubert
 variety to the rank-r Grassmannian is a fiber bundle.
 
-Positions and values are 1-based in every public interface; the empty
-permutation (n = 0) is valid.
+Positions and values are 1-based in every public interface, a witness is
+the tuple of its positions, and the empty permutation (n = 0) is valid.
 """
 
 from __future__ import annotations
 
 import reprlib
 from dataclasses import dataclass
-from typing import Iterator
 
 __all__ = [
     "BadInputError",
     "Permutation",
     "SplitPattern",
-    "PatternWitness",
     "PATTERN_3_12",
     "PATTERN_23_1",
     "parse_permutation",
@@ -85,12 +83,6 @@ class Permutation:
         if not 1 <= k <= len(self.values):
             raise IndexError(f"position {k} outside 1..{len(self.values)}")
         return self.values[k - 1]
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.values)
-
-    def __len__(self) -> int:
-        return len(self.values)
 
     def __str__(self) -> str:
         return format_permutation(self)
@@ -153,34 +145,19 @@ PATTERN_3_12 = SplitPattern(Permutation((3, 1, 2)), 1)
 PATTERN_23_1 = SplitPattern(Permutation((2, 3, 1)), 2)
 
 
-@dataclass(frozen=True)
-class PatternWitness:
-    """Strictly increasing 1-based positions realising a split pattern."""
-
-    indices: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        indices = tuple(self.indices)
-        object.__setattr__(self, "indices", indices)
-        if any(a >= b for a, b in zip(indices, indices[1:])) or any(
-            i < 1 for i in indices
-        ):
-            raise ValueError(f"indices must be strictly increasing and >= 1: {indices!r}")
-
-
 def contains_split(
     w: Permutation, pattern: SplitPattern, r: int
-) -> PatternWitness | None:
+) -> tuple[int, ...] | None:
     """Search for an occurrence of ``pattern`` in ``w`` with respect to r.
 
-    Returns the lexicographically smallest witness (by index sequence) or
-    None when w avoids the pattern with respect to r.  The split constraint
+    Returns the positions of the lexicographically smallest witness, or None
+    when w avoids the pattern with respect to r.  The split constraint
     is a hard position filter: the first ``pattern.split`` chosen positions
     must be <= r and the rest must be > r.  For split index 0 the whole
     occurrence must sit right of r, for split index k entirely at or left
     of r.
 
-    >>> contains_split(Permutation((3, 1, 5, 6, 4, 2)), PATTERN_23_1, 3).indices
+    >>> contains_split(Permutation((3, 1, 5, 6, 4, 2)), PATTERN_23_1, 3)
     (1, 3, 6)
     >>> contains_split(Permutation((3, 1, 5, 6, 4, 2)), PATTERN_3_12, 3) is None
     True
@@ -212,27 +189,27 @@ def contains_split(
         return False
 
     if search(0, 0):
-        return PatternWitness(tuple(p + 1 for p in chosen))
+        return tuple(p + 1 for p in chosen)
     return None
 
 
 def split_witnesses(
     w: Permutation, r: int
-) -> tuple[PatternWitness | None, PatternWitness | None]:
+) -> tuple[tuple[int, ...] | None, tuple[int, ...] | None]:
     """The 3|12 and 23|1 witnesses of w with respect to r, in O(n).
 
     Each entry is exactly what ``contains_split`` returns for that built-in
-    pattern: the lexicographically smallest witness, or None.  Tested
+    pattern: the lexicographically smallest position tuple, or None.  Tested
     against it exhaustively for small n and by a property test beyond.
 
     >>> split_witnesses(parse_permutation("315642"), 3)
-    (None, PatternWitness(indices=(1, 3, 6)))
+    (None, (1, 3, 6))
     """
     _check_int("position r", r, 0, w.n)
     return _witness_3_12(w.values, r), _witness_23_1(w.values, r)
 
 
-def _witness_3_12(vals: tuple[int, ...], r: int) -> PatternWitness | None:
+def _witness_3_12(vals: tuple[int, ...], r: int) -> tuple[int, ...] | None:
     n = len(vals)
     # t: the least right-block value that ends an ascent inside the right
     # block.  A left value starts a 3|12 exactly when it exceeds t.
@@ -259,10 +236,10 @@ def _witness_3_12(vals: tuple[int, ...], r: int) -> PatternWitness | None:
                 best = v
     low = vals[i2]
     i3 = next(q for q in range(i2 + 1, n) if low < vals[q] < top)
-    return PatternWitness((i1 + 1, i2 + 1, i3 + 1))
+    return i1 + 1, i2 + 1, i3 + 1
 
 
-def _witness_23_1(vals: tuple[int, ...], r: int) -> PatternWitness | None:
+def _witness_23_1(vals: tuple[int, ...], r: int) -> tuple[int, ...] | None:
     n = len(vals)
     if r == n:
         return None
@@ -282,7 +259,7 @@ def _witness_23_1(vals: tuple[int, ...], r: int) -> PatternWitness | None:
     mid = vals[i1]
     i2 = next(q for q in range(i1 + 1, r) if vals[q] > mid)
     i3 = next(q for q in range(r, n) if vals[q] < mid)
-    return PatternWitness((i1 + 1, i2 + 1, i3 + 1))
+    return i1 + 1, i2 + 1, i3 + 1
 
 
 def _avoids(vals: tuple[int, ...], r: int) -> bool:

@@ -63,10 +63,20 @@ def oracle_checks(n_max: int, limit: int = DEFAULT_SEARCH_LIMIT) -> list[Check]:
     return checks
 
 
+# Each structure fact's statement and failure detail, by key in output order.
+_STRUCTURE_FACTS = {
+    "split": ("max-left/max-right split sizes sum to the count", "split sizes wrong"),
+    "fibers": ("removing the max fibers the max-right side with fiber size n-r", "fiber sizes wrong"),
+    "peel-left": ("removing a max-left max lands in the class at r-1", "max-left peel leaves the class"),
+    "partition": ("smallest-right partition classes have the predicted sizes", "partition sizes wrong"),
+    "rotate": ("rotate180 bijects class (r,n) onto (n-r,n)", "rotation image wrong"),
+}
+
+
 def structure_checks(n_max: int, limit: int = DEFAULT_SEARCH_LIMIT) -> list[Check]:
     """Structural facts about the avoidance classes, checked by exhaustive
-    enumeration for all sizes up to n_max and all positions r.  Refuses
-    n_max > limit before sweeping the sizes below it."""
+    enumeration for all n <= n_max and all r; a failure names the first
+    failing (r, n), n then r.  Refuses n_max > limit before any sweep."""
     _check_limit(n_max, limit)
     classes: dict[tuple[int, int], list[Permutation]] = {
         (r, n): enumerate_avoiders(r, n, limit=limit)
@@ -74,61 +84,37 @@ def structure_checks(n_max: int, limit: int = DEFAULT_SEARCH_LIMIT) -> list[Chec
         for r in range(n + 1)
     }
 
-    split_ok, split_detail = True, ""
-    fiber_ok, fiber_detail = True, ""
-    peel_left_ok, peel_left_detail = True, ""
-    partition_ok, partition_detail = True, ""
-    rotate_ok, rotate_detail = True, ""
+    def facts(r: int, n: int) -> dict[str, bool]:
+        members = classes[(r, n)]
+        max_left = [w for w in members if n in w.values[:r]]
+        expected_left = max_left_avoider_count(r, n) if r >= 1 else 0
+        found = {
+            "split": len(max_left) == expected_left and len(members) == avoider_count(r, n),
+            "rotate": {rotate180(w) for w in members} == set(classes[(n - r, n)]),
+        }
+        if r < n:
+            fibers = Counter(remove_max(w) for w in members if n not in w.values[:r])
+            found["fibers"] = fibers == {w: n - r for w in classes[(r, n - 1)]}
+        if r >= 1:
+            smaller = set(classes[(r - 1, n - 1)])
+            found["peel-left"] = all(remove_max(w) in smaller for w in max_left)
+        if 0 < r < n:
+            found["partition"] = Counter(min(w.values[r:]) for w in max_left) == {
+                i: comb(n - i - 1, r - i) * perm(r, i - 1) for i in range(1, r + 1)
+            }
+        return found
 
+    failures: dict[str, str] = {}
     for n in range(1, n_max + 1):
         for r in range(n + 1):
-            members = classes[(r, n)]
-            max_left = [w for w in members if n in w.values[:r]]
-            max_right = [w for w in members if n not in w.values[:r]]
-
-            expected_left = max_left_avoider_count(r, n) if r >= 1 else 0
-            if (
-                len(max_left) != expected_left
-                or len(max_left) + len(max_right) != avoider_count(r, n)
-            ):
-                split_ok = False
-                split_detail = f"split sizes wrong at (r,n)=({r},{n})"
-
-            if r <= n - 1:
-                fibers = Counter(remove_max(w) for w in max_right)
-                smaller = classes[(r, n - 1)]
-                if set(fibers) != set(smaller) or any(
-                    fibers[w] != n - r for w in smaller
-                ):
-                    fiber_ok = False
-                    fiber_detail = f"fiber sizes wrong at (r,n)=({r},{n})"
-
-            if r >= 1:
-                smaller = set(classes[(r - 1, n - 1)])
-                if any(remove_max(w) not in smaller for w in max_left):
-                    peel_left_ok = False
-                    peel_left_detail = f"max-left peel leaves the class at (r,n)=({r},{n})"
-
-            if 1 <= r < n:
-                sizes = Counter(min(w.values[r:]) for w in max_left)
-                if sizes != {
-                    i: comb(n - i - 1, r - i) * perm(r, i - 1)
-                    for i in range(1, r + 1)
-                }:
-                    partition_ok = False
-                    partition_detail = f"partition sizes wrong at (r,n)=({r},{n})"
-
-            if {rotate180(w) for w in members} != set(classes[(n - r, n)]):
-                rotate_ok = False
-                rotate_detail = f"rotation image wrong at (r,n)=({r},{n})"
+            for key, holds in facts(r, n).items():
+                if not holds and key not in failures:
+                    failures[key] = f"{_STRUCTURE_FACTS[key][1]} at (r,n)=({r},{n})"
 
     scope = f"n <= {n_max}, all r"
     return [
-        Check("split", f"max-left/max-right split sizes sum to the count ({scope})", split_ok, split_detail),
-        Check("fibers", f"removing the max fibers the max-right side with fiber size n-r ({scope})", fiber_ok, fiber_detail),
-        Check("peel-left", f"removing a max-left max lands in the class at r-1 ({scope})", peel_left_ok, peel_left_detail),
-        Check("partition", f"smallest-right partition classes have the predicted sizes ({scope})", partition_ok, partition_detail),
-        Check("rotate", f"rotate180 bijects class (r,n) onto (n-r,n) ({scope})", rotate_ok, rotate_detail),
+        Check(key, f"{statement} ({scope})", key not in failures, failures.get(key, ""))
+        for key, (statement, _) in _STRUCTURE_FACTS.items()
     ]
 
 

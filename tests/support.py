@@ -68,9 +68,10 @@ def oracle_contains(w: Permutation, pattern: SplitPattern, r: int) -> bool:
     return bool(oracle_witnesses(w, pattern, r))
 
 
-def assert_valid_witness(w: Permutation, pattern: SplitPattern, r: int, witness):
-    """Independent re-check of a witness against the containment definition."""
-    idx = witness.indices
+def assert_valid_witness(w: Permutation, pattern: SplitPattern, r: int, idx):
+    """Independent re-check of a witness, the tuple of its positions, against
+    the containment definition."""
+    assert type(idx) is tuple
     u = pattern.pattern.values
     k = len(u)
     j = pattern.split

@@ -20,7 +20,6 @@ from splitpat import (
     PATTERN_23_1,
     PATTERN_3_12,
     BadInputError,
-    PatternWitness,
     Permutation,
     is_avoider,
 )
@@ -271,7 +270,7 @@ class TestCheckFromStdin:
         avoider, contained = _avoider_and_contained(n, r, seed=8)
         assert is_avoider(avoider, r) and not is_avoider(contained, r)
         for w, expected in ((avoider, 0), (contained, 1)):
-            text = ",".join(map(str, w)) + "\n"
+            text = ",".join(map(str, w.values)) + "\n"
             code, out, err = self.run_stdin(capsys, monkeypatch, io.StringIO(text), "--r", str(r))
             assert (code, err) == (expected, "")
             data = json.loads(out)
@@ -279,7 +278,7 @@ class TestCheckFromStdin:
             witnesses = [data["witness_3_12"], data["witness_23_1"]]
             for pattern, indices in zip((PATTERN_3_12, PATTERN_23_1), witnesses):
                 if indices is not None:
-                    assert_valid_witness(w, pattern, r, PatternWitness(tuple(indices)))
+                    assert_valid_witness(w, pattern, r, tuple(indices))
 
     def test_same_output_as_argv(self, capsys, monkeypatch):
         expected = run(capsys, "check", "--perm", "315642", "--r", "3")
@@ -461,6 +460,48 @@ class TestVerify:
         assert [c.passed for c in checks] == [True] * 5 + [False, True]
         assert checks[5].detail == "disagreement at r=2: [47, 48]"
 
+    @pytest.mark.parametrize(
+        "name, corrupt, failures",
+        [
+            (
+                "max_left_avoider_count",
+                lambda original: lambda r, n: original(r, n) + (r == 2),
+                {"split": "split sizes wrong at (r,n)=(2,2)"},
+            ),
+            (
+                "rotate180",
+                lambda original: lambda w: w if w.n >= 4 else original(w),
+                {"rotate": "rotation image wrong at (r,n)=(1,4)"},
+            ),
+            (
+                "remove_max",
+                lambda original: lambda w: (
+                    Permutation(original(w).values[::-1]) if w.n >= 5 else original(w)
+                ),
+                {
+                    "fibers": "fiber sizes wrong at (r,n)=(1,5)",
+                    "peel-left": "max-left peel leaves the class at (r,n)=(3,5)",
+                },
+            ),
+            (
+                "perm",
+                lambda original: lambda *args: 0,
+                {"partition": "partition sizes wrong at (r,n)=(1,2)"},
+            ),
+        ],
+        ids=["split", "rotate", "fibers-and-peel-left", "partition"],
+    )
+    def test_structure_suite_names_the_first_failing_cell(
+        self, monkeypatch, name, corrupt, failures
+    ):
+        # Each corruption breaks its facts from some size on; the detail
+        # names the first failing (r, n), n then r, and the other facts pass.
+        monkeypatch.setattr(splitpat.verify, name, corrupt(getattr(splitpat.verify, name)))
+        checks = splitpat.verify.structure_checks(6)
+        assert [c.key for c in checks] == ["split", "fibers", "peel-left", "partition", "rotate"]
+        assert {c.key: c.detail for c in checks if not c.passed} == failures
+        assert all(c.detail == "" for c in checks if c.passed)
+
     @pytest.mark.parametrize("suite", ["oracle_checks", "structure_checks"])
     def test_exhaustive_suite_refuses_before_sweeping(self, monkeypatch, suite):
         def refuse(*args, **kwargs):
@@ -516,6 +557,8 @@ class TestUsage:
             (("count", "--r", "1", "--n", "-1"), "--n must be an int >= 0, got -1"),
             (("check", "--perm", "123", "--r", "4"), "--r must be an int in 0..3, got 4"),
             (("table", "--n-max", "5", "--r-max", "-1"), "--r-max must be an int >= 0, got -1"),
+            (("table", "--n-max", "0"), "--n-max must be an int in 1..100, got 0"),
+            (("table", "--n-max", "101"), "--n-max must be an int in 1..100, got 101"),
         ],
     )
     def test_refusal_names_the_option(self, capsys, argv, message):

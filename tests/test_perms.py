@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from splitpat import (
     PATTERN_23_1,
     PATTERN_3_12,
-    PatternWitness,
     Permutation,
     SplitPattern,
     contains_split,
@@ -128,19 +127,13 @@ class TestSplitPattern:
         with pytest.raises(ValueError):
             SplitPattern(Permutation((1, 2)), 1.0)
 
-    def test_witness_indices_must_increase(self):
-        with pytest.raises(ValueError):
-            PatternWitness((3, 2))
-        with pytest.raises(ValueError):
-            PatternWitness((0, 1))
-
 
 class TestContainsSplit:
     def test_paper_example_witness(self):
         w = parse_permutation("315642")
         witness = contains_split(w, PATTERN_23_1, 3)
-        assert witness.indices == (1, 3, 6)
-        assert [w.w(i) for i in witness.indices] == [3, 5, 2]
+        assert witness == (1, 3, 6)
+        assert [w.w(i) for i in witness] == [3, 5, 2]
 
     def test_paper_example_avoids_3_12(self):
         w = parse_permutation("315642")
@@ -171,7 +164,7 @@ class TestContainsSplit:
     def test_312_has_unique_witness(self):
         w = parse_permutation("312")
         witness = contains_split(w, PATTERN_3_12, 1)
-        assert witness.indices == (1, 2, 3)
+        assert witness == (1, 2, 3)
         assert oracle_witnesses(w, PATTERN_3_12, 1) == [(1, 2, 3)]
 
     def test_degenerate_split_zero(self):
@@ -180,7 +173,7 @@ class TestContainsSplit:
         w = parse_permutation("1234")
         assert contains_split(w, p, 0) is None
         w = parse_permutation("1243")
-        assert contains_split(w, p, 2).indices == (3, 4)
+        assert contains_split(w, p, 2) == (3, 4)
         assert contains_split(w, p, 3) is None  # only position 4 remains
 
     def test_degenerate_split_full(self):
@@ -188,7 +181,7 @@ class TestContainsSplit:
         p = SplitPattern(Permutation((2, 1)), 2)
         w = parse_permutation("2134")
         assert contains_split(w, p, 1) is None
-        assert contains_split(w, p, 2).indices == (1, 2)
+        assert contains_split(w, p, 2) == (1, 2)
 
     def test_agrees_with_subset_oracle_exhaustive(self):
         for n in range(6):
@@ -208,7 +201,7 @@ class TestContainsSplit:
                 assert not expected
             else:
                 assert_valid_witness(w, pattern, r, witness)
-                assert witness.indices == expected[0]
+                assert witness == expected[0]
 
     @given(perm_and_position(max_n=7), st.integers(0, 3), st.data())
     def test_general_patterns_match_oracle(self, wr, k, data):
@@ -260,7 +253,11 @@ class TestSplitWitnesses:
 
     @staticmethod
     def searched(w, r):
-        return contains_split(w, PATTERN_3_12, r), contains_split(w, PATTERN_23_1, r)
+        found = contains_split(w, PATTERN_3_12, r), contains_split(w, PATTERN_23_1, r)
+        for pattern, witness in zip((PATTERN_3_12, PATTERN_23_1), found):
+            if witness is not None:
+                assert_valid_witness(w, pattern, r, witness)
+        return found
 
     def test_equals_contains_split_exhaustive(self):
         for n in range(8):
