@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from math import inf
 
 from .counting import (
     DEFAULT_SEARCH_LIMIT,
@@ -52,11 +51,9 @@ _OPTIONS = {
 def _usage_message(exc: BadInputError) -> str:
     """The refusal's text, naming the option where the refused value came
     from one."""
-    if exc.argument is None or exc.argument[0] not in _OPTIONS:
+    if exc.argument not in _OPTIONS:
         return str(exc)
-    name, lo, hi, value = exc.argument
-    allowed = f">= {lo}" if hi == inf else f"in {lo}..{hi}"
-    return f"{_OPTIONS[name]} must be an int {allowed}, got {value!r}"
+    return _OPTIONS[exc.argument] + str(exc)[len(exc.argument) :]
 
 
 # CPython 3.10.7 and later refuse str() of an int past a digit cap (4300 by

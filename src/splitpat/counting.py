@@ -223,9 +223,9 @@ def normalized_excess(r: int, s: int) -> Fraction:
     return Fraction(avoider_count(r, r + s), factorial(r) * factorial(s)) - 1
 
 
-def check_excess_recursion(r_max: int, s_max: int) -> list[tuple[int, int]]:
+def check_excess_recursion(order: int) -> list[tuple[int, int]]:
     """Check that the normalized excess satisfies, for all cells in
-    [1, r_max] x [1, s_max],
+    [1, order]^2,
 
         e(r,s) = e(r,s-1) + e(r-1,s) - e(r-1,s-1) + C(r+s-2, r-1)/(r! s!)
 
@@ -239,12 +239,11 @@ def check_excess_recursion(r_max: int, s_max: int) -> list[tuple[int, int]]:
     the violating cells (r, s) in row-major order: violations are a result,
     not errors.
     """
-    _check_int("r_max", r_max, 1, inf)
-    _check_int("s_max", s_max, 1, inf)
-    k = {(r, s): avoider_count(r, r + s) for r in range(r_max + 1) for s in range(s_max + 1)}
+    _check_int("order", order, 1, inf)
+    k = {(r, s): avoider_count(r, r + s) for r in range(order + 1) for s in range(order + 1)}
     violations = []
-    for r in range(1, r_max + 1):
-        for s in range(1, s_max + 1):
+    for r in range(1, order + 1):
+        for s in range(1, order + 1):
             expected = s * k[(r, s - 1)] + r * k[(r - 1, s)] - r * s * k[(r - 1, s - 1)] + comb(r + s - 2, r - 1)
             if k[(r, s)] != expected:
                 violations.append((r, s))

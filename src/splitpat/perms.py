@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import reprlib
 from dataclasses import dataclass
+from math import inf
 
 __all__ = [
     "BadInputError",
@@ -39,12 +40,12 @@ class BadInputError(ValueError):
     """Raised when an argument or an input text is refused; the CLI maps
     exactly this error to exit 2.
 
-    A refused argument value also carries ``argument``, the (name, lo, hi,
-    value) of the failed range check, so a front end can name the argument
-    in its own terms; for any other refusal it is None.
+    A refused argument value also carries ``argument``, the argument's name,
+    which its message starts with, so a front end can name the argument in
+    its own terms; for any other refusal it is None.
     """
 
-    def __init__(self, message: str, argument: tuple | None = None) -> None:
+    def __init__(self, message: str, argument: str | None = None) -> None:
         super().__init__(message)
         self.argument = argument
 
@@ -121,9 +122,8 @@ def format_permutation(w: Permutation) -> str:
 def _check_int(name: str, value: int, lo: int, hi: int) -> None:
     # Floats and bools compare equal to ints, so the type itself is tested.
     if type(value) is not int or not lo <= value <= hi:
-        raise BadInputError(
-            f"{name} must be an int in {lo}..{hi}, got {value!r}", (name, lo, hi, value)
-        )
+        allowed = f">= {lo}" if hi == inf else f"in {lo}..{hi}"
+        raise BadInputError(f"{name} must be an int {allowed}, got {value!r}", name)
 
 
 @dataclass(frozen=True)

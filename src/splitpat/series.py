@@ -1,15 +1,14 @@
 """Truncated bivariate formal power series, stored EGF-scaled.
 
-A series holds a rectangular window of integer cells G[r][s] = r! s! c[r][s],
-where c[r][s] is the coefficient of x^r y^s, for 0 <= r <= nx, 0 <= s <= ny.
+A series holds the square window of integer cells G[r][s] = r! s! c[r][s],
+where c[r][s] is the coefficient of x^r y^s, for 0 <= r, s <= order.
 In this basis every named generating function is a grid of ints, a product
 is the labelled product of Flajolet and Sedgewick (the binomial
 convolution), the mixed integral and derivative are index shifts, and
 division by a series with constant term 1 stays in the integers; only
 ``coeff`` and the JSON form divide by r! s!.  Coefficients outside the window are
-undefined, never assumed zero: binary operations act on the intersection of
-the operand windows and equality compares there too, so a low-order
-truncation equals any higher order truncation of the same series.  Two
+undefined, never assumed zero, so binary operations refuse two different
+orders and two series of different orders compare unequal.  Two
 functions check the identities linking the series cell by cell with zero
 tolerance, one per group of identities, each building every series it needs
 once: ``bessel_checks`` (the Bessel factorization of the binomial EGF and
@@ -48,108 +47,83 @@ __all__ = [
     "verify_identities",
 ]
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class BivariateSeries:
-    """Rectangular truncation of a formal power series in x and y.
+    """Truncation of a formal power series in x and y to the square window
+    [0, order]^2.
 
     ``coeffs[r][s]`` is the int cell r! s! times the coefficient of x^r y^s.
-    Instances are immutable and safe to share.
+    Instances are immutable and safe to share.  Equality compares the
+    cells, so series of two different orders are unequal.  ``nx`` and
+    ``ny``, the orders in x and in y that the JSON form names, both equal
+    ``order``.
     """
 
     coeffs: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
         rows = tuple(map(tuple, self.coeffs))
-        if not rows or not rows[0]:
-            raise ValueError("coefficient window must be nonempty")
-        if any(len(row) != len(rows[0]) for row in rows):
-            raise ValueError("coefficient grid must be rectangular")
+        if not rows or any(len(row) != len(rows) for row in rows):
+            raise ValueError("coefficient grid must be a nonempty square")
         object.__setattr__(self, "coeffs", rows)
 
     @classmethod
-    def from_fn(
-        cls, fn: Callable[[int, int], int], nx: int, ny: int
-    ) -> "BivariateSeries":
+    def from_fn(cls, fn: Callable[[int, int], int], order: int) -> "BivariateSeries":
         """Series with cell fn(r, s), so coefficient fn(r, s) / (r! s!), on
-        the window [0,nx] x [0,ny]."""
-        return cls(tuple(tuple(fn(r, s) for s in range(ny + 1)) for r in range(nx + 1)))
+        the window [0, order]^2."""
+        return cls(tuple(tuple(fn(r, s) for s in range(order + 1)) for r in range(order + 1)))
 
     @classmethod
-    def constant(cls, c: int, nx: int, ny: int) -> "BivariateSeries":
-        return cls.from_fn(lambda r, s: c if r == s == 0 else 0, nx, ny)
+    def constant(cls, c: int, order: int) -> "BivariateSeries":
+        return cls.from_fn(lambda r, s: c if r == s == 0 else 0, order)
 
     @property
-    def nx(self) -> int:
+    def order(self) -> int:
         return len(self.coeffs) - 1
 
-    @property
-    def ny(self) -> int:
-        return len(self.coeffs[0]) - 1
+    nx = ny = order
 
     def coeff(self, r: int, s: int) -> Fraction:
         """Coefficient of x^r y^s; raises outside the window."""
-        if not (0 <= r <= self.nx and 0 <= s <= self.ny):
-            raise IndexError(f"({r},{s}) outside window [0,{self.nx}]x[0,{self.ny}]")
+        if not (0 <= r <= self.order and 0 <= s <= self.order):
+            raise IndexError(f"({r},{s}) outside window [0,{self.order}]x[0,{self.order}]")
         return Fraction(self.coeffs[r][s], factorial(r) * factorial(s))
-
-    def _common_window(self, other: "BivariateSeries") -> tuple[int, int]:
-        return min(self.nx, other.nx), min(self.ny, other.ny)
-
-    def __eq__(self, other: object) -> bool:
-        # Equality only over the window intersection: truncation order is a
-        # storage artifact, not part of the value.
-        if not isinstance(other, BivariateSeries):
-            return NotImplemented
-        nx, ny = self._common_window(other)
-        return all(
-            self.coeffs[r][s] == other.coeffs[r][s]
-            for r in range(nx + 1)
-            for s in range(ny + 1)
-        )
 
     def __add__(self, other: "BivariateSeries") -> "BivariateSeries":
         if not isinstance(other, BivariateSeries):
             return NotImplemented
-        nx, ny = self._common_window(other)
         return BivariateSeries.from_fn(
-            lambda r, s: self.coeffs[r][s] + other.coeffs[r][s], nx, ny
+            lambda r, s: self.coeffs[r][s] + other.coeffs[r][s], _common_order(self, other)
         )
 
     def __sub__(self, other: "BivariateSeries") -> "BivariateSeries":
         if not isinstance(other, BivariateSeries):
             return NotImplemented
-        nx, ny = self._common_window(other)
         return BivariateSeries.from_fn(
-            lambda r, s: self.coeffs[r][s] - other.coeffs[r][s], nx, ny
+            lambda r, s: self.coeffs[r][s] - other.coeffs[r][s], _common_order(self, other)
         )
 
     def __mul__(self, other: "BivariateSeries") -> "BivariateSeries":
         if not isinstance(other, BivariateSeries):
             return NotImplemented
-        nx, ny = self._common_window(other)
+        n = _common_order(self, other)
         # The labelled product: cell (r, s) sums C(r,p) C(s,q) A[p][q]
         # B[r-p][s-q].  Multiply only nonzero pairs of cells: the Bessel
         # series and the polynomial (1-x)(1-y) are sparse.
-        binom = _pascal(max(nx, ny))
-        acc = [[0] * (ny + 1) for _ in range(nx + 1)]
-        right = _terms(other, nx, ny)
-        for p, q, a in _terms(self, nx, ny):
+        binom = _pascal(n)
+        acc = [[0] * (n + 1) for _ in range(n + 1)]
+        right = _terms(other)
+        for p, q, a in _terms(self):
             for u, v, b in right:
-                if p + u > nx:
+                if p + u > n:
                     break
-                if q + v <= ny:
+                if q + v <= n:
                     acc[p + u][q + v] += binom[p + u][p] * binom[q + v][q] * a * b
         return BivariateSeries(tuple(map(tuple, acc)))
 
     def is_symmetric(self) -> bool:
-        """Whether the coefficients are invariant under swapping x and y
-        (checked wherever both cells sit inside the window)."""
-        return all(
-            self.coeffs[r][s] == self.coeffs[s][r]
-            for r in range(self.nx + 1)
-            for s in range(self.ny + 1)
-            if s <= self.nx and r <= self.ny
-        )
+        """Whether the coefficients are invariant under swapping x and y."""
+        return self.coeffs == tuple(zip(*self.coeffs))
 
     def to_dict(self) -> dict:
         """The JSON form: the coefficients (not the cells), numerators and
@@ -162,10 +136,17 @@ class BivariateSeries:
         }
 
 
-def _terms(series: BivariateSeries, nx: int, ny: int) -> list[tuple[int, int, int]]:
-    """The nonzero cells (r, s, c) of series within [0,nx] x [0,ny], in
-    row-major order."""
-    return [(r, s, c) for r, row in enumerate(series.coeffs[: nx + 1]) for s, c in enumerate(row[: ny + 1]) if c]
+def _common_order(a: BivariateSeries, b: BivariateSeries) -> int:
+    """The order of both operands; refuses two different orders, since a
+    cell outside either window is undefined."""
+    if a.order != b.order:
+        raise ValueError(f"operands have orders {a.order} and {b.order}")
+    return a.order
+
+
+def _terms(series: BivariateSeries) -> list[tuple[int, int, int]]:
+    """The nonzero cells (r, s, c) of series, in row-major order."""
+    return [(r, s, c) for r, row in enumerate(series.coeffs) for s, c in enumerate(row) if c]
 
 
 def _pascal(n: int) -> list[list[int]]:
@@ -174,7 +155,7 @@ def _pascal(n: int) -> list[list[int]]:
 
 
 def divide_by_unit(num: BivariateSeries, den: BivariateSeries) -> BivariateSeries:
-    """Quotient Q with Q * den = num on the common window.
+    """Quotient Q with Q * den = num, on the order num and den share.
 
     The denominator must have constant term 1, as (1-x)(1-y) has, so the
     quotient cells stay ints; they are filled row by row, so every cell the
@@ -183,12 +164,12 @@ def divide_by_unit(num: BivariateSeries, den: BivariateSeries) -> BivariateSerie
     """
     if den.coeffs[0][0] != 1:
         raise ValueError(f"denominator must have constant term 1, got {den.coeffs[0][0]}")
-    nx, ny = num._common_window(den)
-    binom = _pascal(max(nx, ny))
-    rest = [(u, v, c) for u, v, c in _terms(den, nx, ny) if u or v]
-    q = [[0] * (ny + 1) for _ in range(nx + 1)]
-    for r in range(nx + 1):
-        for s in range(ny + 1):
+    n = _common_order(num, den)
+    binom = _pascal(n)
+    rest = [(u, v, c) for u, v, c in _terms(den) if u or v]
+    q = [[0] * (n + 1) for _ in range(n + 1)]
+    for r in range(n + 1):
+        for s in range(n + 1):
             acc = num.coeffs[r][s]
             for u, v, c in rest:
                 if u <= r and v <= s:
@@ -205,7 +186,7 @@ def integrate_xy(series: BivariateSeries) -> BivariateSeries:
     row and column vanish.  The input's top row and column shift beyond the
     window and are consumed.
     """
-    zeros = (0,) * (series.ny + 1)
+    zeros = (0,) * (series.order + 1)
     return BivariateSeries((zeros, *((0, *row[:-1]) for row in series.coeffs[:-1])))
 
 
@@ -213,7 +194,7 @@ def partial_xy(series: BivariateSeries) -> BivariateSeries:
     """Mixed partial derivative: output cell (r, s) is input cell
     (r+1, s+1).  Exact left inverse of integrate_xy on the window shrunk by
     one in each variable."""
-    if series.nx < 1 or series.ny < 1:
+    if series.order < 1:
         raise ValueError("window too small to differentiate")
     return BivariateSeries(tuple(row[1:] for row in series.coeffs[1:]))
 
@@ -221,48 +202,46 @@ def partial_xy(series: BivariateSeries) -> BivariateSeries:
 def diagonal_collapse(series: BivariateSeries) -> tuple[Fraction, ...]:
     """Specialize y = x: the m-th output coefficient sums the window
     coefficients of total degree m, which is (1/m!) sum_r C(m,r) G[r][m-r]
-    in cells.  Requires a square window; only total degrees up to nx stay
-    fully inside it."""
-    if series.nx != series.ny:
-        raise ValueError("diagonal collapse needs a square window")
+    in cells.  Only total degrees up to the order stay fully inside the
+    window."""
     return tuple(
         Fraction(sum(comb(m, r) * series.coeffs[r][m - r] for r in range(m + 1)), factorial(m))
-        for m in range(series.nx + 1)
+        for m in range(series.order + 1)
     )
 
 
-def exp_sum_series(nx: int, ny: int) -> BivariateSeries:
+def exp_sum_series(order: int) -> BivariateSeries:
     """e^(x+y): coefficient 1/(a! b!), cell 1."""
-    return BivariateSeries.from_fn(lambda a, b: 1, nx, ny)
+    return BivariateSeries.from_fn(lambda a, b: 1, order)
 
 
-def bessel_i0_series(nx: int, ny: int) -> BivariateSeries:
+def bessel_i0_series(order: int) -> BivariateSeries:
     """Modified Bessel function I0 evaluated at 2*sqrt(xy): the series
     sum_m (xy)^m / (m!)^2, cell 1 on the diagonal and 0 off it."""
-    return BivariateSeries.from_fn(lambda r, s: int(r == s), nx, ny)
+    return BivariateSeries.from_fn(lambda r, s: int(r == s), order)
 
 
-def binomial_egf_series(nx: int, ny: int) -> BivariateSeries:
+def binomial_egf_series(order: int) -> BivariateSeries:
     """Exponential generating function of the binomial coefficients:
     coefficient C(r+s, r)/(r! s!), cell C(r+s, r)."""
-    return BivariateSeries.from_fn(lambda r, s: comb(r + s, r), nx, ny)
+    return BivariateSeries.from_fn(lambda r, s: comb(r + s, r), order)
 
 
-def geometric_series(nx: int, ny: int) -> BivariateSeries:
+def geometric_series(order: int) -> BivariateSeries:
     """1/((1-x)(1-y)): every coefficient is 1, cell r! s!."""
-    return BivariateSeries.from_fn(lambda r, s: factorial(r) * factorial(s), nx, ny)
+    return BivariateSeries.from_fn(lambda r, s: factorial(r) * factorial(s), order)
 
 
-def one_minus_x_minus_y_plus_xy(nx: int, ny: int) -> BivariateSeries:
+def one_minus_x_minus_y_plus_xy(order: int) -> BivariateSeries:
     """The polynomial 1 - x - y + xy = (1-x)(1-y)."""
-    if nx < 1 or ny < 1:
+    if order < 1:
         raise ValueError("window must reach degree 1 in each variable")
     # r! s! = 1 on all four cells, so each cell is its coefficient.
     cells = {(0, 0): 1, (1, 0): -1, (0, 1): -1, (1, 1): 1}
-    return BivariateSeries.from_fn(lambda r, s: cells.get((r, s), 0), nx, ny)
+    return BivariateSeries.from_fn(lambda r, s: cells.get((r, s), 0), order)
 
 
-def integrated_binomial_egf(nx: int, ny: int) -> BivariateSeries:
+def integrated_binomial_egf(order: int) -> BivariateSeries:
     """Double integral of the binomial EGF with zero integration constants:
     coefficient C(r+s-2, r-1)/(r! s!), cell C(r+s-2, r-1), for r, s >= 1
     and 0 on the axes.
@@ -270,20 +249,20 @@ def integrated_binomial_egf(nx: int, ny: int) -> BivariateSeries:
     The axis cells are set to 0 directly rather than through any
     negative-argument binomial convention.
     """
-    return BivariateSeries.from_fn(lambda r, s: comb(r + s - 2, r - 1) if r and s else 0, nx, ny)
+    return BivariateSeries.from_fn(lambda r, s: comb(r + s - 2, r - 1) if r and s else 0, order)
 
 
-def count_egf(nx: int, ny: int) -> BivariateSeries:
+def count_egf(order: int) -> BivariateSeries:
     """Bivariate EGF of the avoidance counts: coefficient
     avoider_count(r, r+s) / (r! s!), so the cell is the count itself, read
     off the integer excess recursion (``counting._count_grid``)."""
-    return BivariateSeries(tuple(row[: ny + 1] for row in _count_grid(nx + ny)[: nx + 1]))
+    return BivariateSeries(tuple(row[: order + 1] for row in _count_grid(2 * order)[: order + 1]))
 
 
-def excess_ogf(nx: int, ny: int) -> BivariateSeries:
+def excess_ogf(order: int) -> BivariateSeries:
     """Ordinary generating function of the normalized excess values
     count / (r! s!) - 1: cell count - r! s!."""
-    return count_egf(nx, ny) - geometric_series(nx, ny)
+    return count_egf(order) - geometric_series(order)
 
 
 @dataclass(frozen=True)
@@ -301,11 +280,10 @@ def _compare(
     key: str, name: str, order: int, left: BivariateSeries, right: BivariateSeries
 ) -> Check:
     """Check left = right cell by cell on exactly the window [0, order]^2;
-    a mismatch is reported in coefficients.  Series equality holds on the
-    overlap of the windows only, so either side on any other window fails
-    rather than shrinking the check."""
+    a mismatch is reported in coefficients, and either side on any other
+    window fails."""
     expected = f"[0,{order}]x[0,{order}]"
-    windows = [f"[0,{side.nx}]x[0,{side.ny}]" for side in (left, right)]
+    windows = [f"[0,{side.order}]x[0,{side.order}]" for side in (left, right)]
     if windows != [expected, expected]:
         return Check(key, name, False, f"window {windows[0]} and {windows[1]}, expected {expected}")
     for r, (left_row, right_row) in enumerate(zip(left.coeffs, right.coeffs)):
@@ -320,8 +298,8 @@ def bessel_checks(order: int) -> list[Check]:
     is e^(x+y) times the Bessel series (``product``), and collapsing it to
     y = x gives the central binomial EGF (``diagonal``)."""
     _check_int("order", order, 2, inf)
-    binomial_egf = binomial_egf_series(order, order)
-    product = exp_sum_series(order, order) * bessel_i0_series(order, order)
+    binomial_egf = binomial_egf_series(order)
+    product = exp_sum_series(order) * bessel_i0_series(order)
     diag = diagonal_collapse(binomial_egf)
     bad = next((m for m, c in enumerate(diag) if c != Fraction(comb(2 * m, m), factorial(m))), None)
     return [
@@ -351,18 +329,18 @@ def main2_checks(order: int) -> tuple[list[Check], BivariateSeries]:
     is documented rather than patched.
     """
     _check_int("order", order, 2, inf)
-    binomial_egf = binomial_egf_series(order, order)
-    integrated = integrated_binomial_egf(order, order)
-    unit = one_minus_x_minus_y_plus_xy(order, order)
-    counts = BivariateSeries.from_fn(lambda r, s: avoider_count(r, r + s), order, order)
-    one = BivariateSeries.constant(1, order, order)
-    derivative = partial_xy(integrated_binomial_egf(order + 1, order + 1))
+    binomial_egf = binomial_egf_series(order)
+    integrated = integrated_binomial_egf(order)
+    unit = one_minus_x_minus_y_plus_xy(order)
+    counts = BivariateSeries.from_fn(lambda r, s: avoider_count(r, r + s), order)
+    one = BivariateSeries.constant(1, order)
+    derivative = partial_xy(integrated_binomial_egf(order + 1))
     integral = integrate_xy(binomial_egf)
-    excess = unit * (counts - geometric_series(order, order))
+    excess = unit * (counts - geometric_series(order))
     quotient = divide_by_unit(integrated + one, unit)
     # e^x + e^y - 1 on the axes: coefficient 1/r! on the x axis and 1/s! on
     # the y axis, so cell 1 on both.
-    axes = BivariateSeries.from_fn(lambda r, s: int(r * s == 0), order, order)
+    axes = BivariateSeries.from_fn(lambda r, s: int(r * s == 0), order)
     residual = divide_by_unit(integrated + axes + one, unit) - counts
     nonzero = sum(1 for row in residual.coeffs for c in row if c != 0)
     checks = [

@@ -129,13 +129,13 @@ def symmetry_checks(order: int) -> list[Check]:
     count_sym = all(k == counts[(n - r, n)] for (r, n), k in counts.items())
     bound = all(k >= factorial(r) * factorial(n - r) for (r, n), k in counts.items())
     named: dict[str, BivariateSeries] = {
-        "exp_sum": exp_sum_series(order, order),
-        "bessel_i0": bessel_i0_series(order, order),
-        "binomial_egf": binomial_egf_series(order, order),
-        "geometric": geometric_series(order, order),
-        "integrated_binomial_egf": integrated_binomial_egf(order, order),
-        "count_egf": count_egf(order, order),
-        "excess_ogf": excess_ogf(order, order),
+        "exp_sum": exp_sum_series(order),
+        "bessel_i0": bessel_i0_series(order),
+        "binomial_egf": binomial_egf_series(order),
+        "geometric": geometric_series(order),
+        "integrated_binomial_egf": integrated_binomial_egf(order),
+        "count_egf": count_egf(order),
+        "excess_ogf": excess_ogf(order),
     }
     asymmetric = sorted(name for name, s in named.items() if not s.is_symmetric())
     return [
@@ -151,7 +151,7 @@ def symmetry_checks(order: int) -> list[Check]:
 
 
 def recursion_checks(order: int) -> list[Check]:
-    violations = check_excess_recursion(order, order)
+    violations = check_excess_recursion(order)
     return [
         Check(
             "recursion",

@@ -20,6 +20,7 @@ from splitpat import (
     PATTERN_23_1,
     PATTERN_3_12,
     BadInputError,
+    BivariateSeries,
     Permutation,
     is_avoider,
 )
@@ -449,6 +450,25 @@ class TestVerify:
         with pytest.raises(BadInputError, match="limit must be an int"):
             run_target(target, order=4, n_max=4, limit=limit)
 
+    def test_symmetry_suite_flags_an_asymmetric_series_and_count(self, monkeypatch):
+        real_count_egf = splitpat.verify.count_egf
+        monkeypatch.setattr(
+            splitpat.verify,
+            "count_egf",
+            lambda order: real_count_egf(order) + BivariateSeries.from_fn(lambda r, s: r, order),
+        )
+        checks = {c.key: c for c in splitpat.verify.symmetry_checks(4)}
+        assert [k for k, c in checks.items() if not c.passed] == ["series-symmetry"]
+        assert checks["series-symmetry"].detail == "asymmetric: count_egf"
+
+        monkeypatch.undo()
+        closed_form = splitpat.verify.avoider_count
+        monkeypatch.setattr(
+            splitpat.verify, "avoider_count", lambda r, n: closed_form(r, n) + ((r, n) == (2, 5))
+        )
+        checks = splitpat.verify.symmetry_checks(4)
+        assert [c.key for c in checks if not c.passed] == ["count-symmetry"]
+
     def test_oracle_flags_a_corrupted_closed_form(self, monkeypatch):
         closed_form = splitpat.verify.avoider_count
 
@@ -517,9 +537,9 @@ class TestVerify:
         calls = Counter()
 
         def counted(name, build):
-            def wrapper(nx, ny):
-                calls[name, nx, ny] += 1
-                return build(nx, ny)
+            def wrapper(order):
+                calls[name, order] += 1
+                return build(order)
 
             return wrapper
 

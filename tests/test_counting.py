@@ -223,8 +223,11 @@ class TestBruteForce:
         # A guard that is not a nonnegative int is refused as such, not
         # read as a guard that every size exceeds.
         for sweep in (brute_count, enumerate_avoiders):
-            with pytest.raises(BadInputError, match="limit must be an int"):
+            with pytest.raises(BadInputError) as refused:
                 sweep(1, 3, limit=limit)
+            # An unbounded range reads ">= lo", never "lo..inf".
+            assert str(refused.value) == f"limit must be an int >= 0, got {limit!r}"
+            assert refused.value.argument == "limit"
 
 
 class TestSmallestRightPartition:
@@ -279,7 +282,7 @@ class TestNormalizedExcess:
 
 class TestExcessRecursion:
     def test_holds_on_12_grid(self):
-        assert check_excess_recursion(12, 12) == []
+        assert check_excess_recursion(12) == []
 
     def test_cell_2_2_expansion(self):
         lhs = normalized_excess(2, 2)
@@ -315,12 +318,12 @@ class TestExcessRecursion:
             + Fraction(comb(r + s - 2, r - 1), factorial(r) * factorial(s))
         ]
         assert rational
-        assert check_excess_recursion(4, 4) == rational
+        assert check_excess_recursion(4) == rational
 
     def test_rejects_bad_bounds(self):
-        for r_max, s_max in [(0, 3), (3, 0), (True, 2), (2, True), (2.0, 2), (2, 2.0)]:
+        for order in (0, -1, True, 2.0):
             with pytest.raises(ValueError):
-                check_excess_recursion(r_max, s_max)
+                check_excess_recursion(order)
 
 
 class TestCountTable:
