@@ -298,6 +298,12 @@ class TestDiagonal:
         for m, c in enumerate(diag):
             assert c == sum(s.coeff(r, m - r) for r in range(m + 1))
 
+    def test_requires_square_window(self):
+        # The window is square by construction: a 2x3 window is refused
+        # before diagonal_collapse could sum a total degree it cuts short.
+        with pytest.raises(ValueError):
+            diagonal_collapse(BivariateSeries(((1, 1, 2), (1, 1, 2))))
+
 
 class TestVandermonde:
     def test_cells_up_to_10(self):
