@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from math import inf
 
 from .counting import (
     DEFAULT_SEARCH_LIMIT,
@@ -72,6 +73,8 @@ def _decimal(value: int) -> str:
 
 def cmd_table(args: argparse.Namespace) -> int:
     _check_int("n_max", args.n_max, 1, 100)
+    if args.r_max is not None:  # refused before building the table, the slow step
+        _check_int("r_max", args.r_max, 0, inf)
     table = build_count_table(args.n_max)
     if args.format == "csv":
         sys.stdout.write(table.to_csv(r_max=args.r_max))

@@ -15,13 +15,11 @@ large.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from fractions import Fraction
+from collections.abc import Callable
 from itertools import combinations, permutations
 from math import comb, factorial, inf, perm
-from typing import Callable
 
-from .perms import Permutation, _avoids, _check_int
+from .perms import Permutation, _Record, _avoids, _check_int
 
 __all__ = [
     "DEFAULT_SEARCH_LIMIT",
@@ -218,6 +216,7 @@ def normalized_excess(r: int, s: int) -> Fraction:
     >>> normalized_excess(2, 2)
     Fraction(5, 2)
     """
+    from fractions import Fraction  # on use: it and decimal would slow every command
     _check_int("r", r, 0, inf)
     _check_int("s", s, 0, inf)
     return Fraction(avoider_count(r, r + s), factorial(r) * factorial(s)) - 1
@@ -250,14 +249,16 @@ def check_excess_recursion(order: int) -> list[tuple[int, int]]:
     return violations
 
 
-@dataclass(frozen=True)
-class CountTable:
+class CountTable(_Record):
     """Avoidance counts for every 0 <= r <= n <= n_max.
 
     Treat ``entries`` as read-only after construction.
     """
 
-    entries: dict[tuple[int, int], int]
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: dict[tuple[int, int], int]) -> None:
+        super().__init__(entries)
 
     def k(self, r: int, n: int) -> int:
         return self.entries[(r, n)]

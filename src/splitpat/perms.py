@@ -17,7 +17,6 @@ the tuple of its positions, and the empty permutation (n = 0) is valid.
 from __future__ import annotations
 
 import reprlib
-from dataclasses import dataclass
 from math import inf
 
 __all__ = [
@@ -50,8 +49,39 @@ class BadInputError(ValueError):
         self.argument = argument
 
 
-@dataclass(frozen=True)
-class Permutation:
+class _Record:
+    """Base of the immutable value types.  A subclass names its fields in
+    ``__slots__`` and sets them once, through ``_Record.__init__``; equality,
+    hashing, the repr, copy and pickle go by the fields."""
+
+    __slots__ = ()
+
+    def __init__(self, *fields: object) -> None:
+        for name, value in zip(self.__slots__, fields, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(map(self.__getattribute__, self.__slots__))
+
+    def __eq__(self, other: object) -> bool:
+        return self._fields() == other._fields() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(f'{k}={getattr(self, k)!r}' for k in self.__slots__)})"
+
+    def __reduce__(self) -> tuple:  # __setattr__ refuses the default slot restore
+        return type(self), self._fields()
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class Permutation(_Record):
     """A permutation of {1, ..., n} in one-line notation w(1) ... w(n).
 
     Construction validates that ``values`` is a rearrangement of 1..n and
@@ -64,16 +94,24 @@ class Permutation:
     Permutation(values=())
     """
 
-    values: tuple[int, ...]
+    __slots__ = ("values",)
 
-    def __post_init__(self) -> None:
-        values = tuple(self.values)
-        object.__setattr__(self, "values", values)
+    def __init__(self, values: tuple[int, ...]) -> None:
+        values = tuple(values)
         if not {*map(type, values)} <= {int} or sorted(values) != list(range(1, len(values) + 1)):
             # reprlib keeps the message short for inputs of any size.
             raise BadInputError(
                 f"not a rearrangement of 1..{len(values)}: {reprlib.repr(values)}"
             )
+        object.__setattr__(self, "values", values)
+
+    # The structure suite hashes permutations by the thousand, so these skip
+    # _fields(); the hash is a frozen dataclass's, so set order is unchanged.
+    def __eq__(self, other: object) -> bool:
+        return self.values == other.values if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.values,))
 
     @property
     def n(self) -> int:
@@ -126,15 +164,14 @@ def _check_int(name: str, value: int, lo: int, hi: int) -> None:
         raise BadInputError(f"{name} must be an int {allowed}, got {value!r}", name)
 
 
-@dataclass(frozen=True)
-class SplitPattern:
+class SplitPattern(_Record):
     """A pattern permutation together with the split index 0 <= j <= k."""
 
-    pattern: Permutation
-    split: int
+    __slots__ = ("pattern", "split")
 
-    def __post_init__(self) -> None:
-        _check_int("split", self.split, 0, self.pattern.n)
+    def __init__(self, pattern: Permutation, split: int) -> None:
+        _check_int("split", split, 0, pattern.n)
+        super().__init__(pattern, split)
 
     def __str__(self) -> str:
         digits = [str(v) for v in self.pattern.values]

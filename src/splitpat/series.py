@@ -19,13 +19,11 @@ the checks with the boundary residual, as ``main2_checks`` does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from collections.abc import Callable
 from math import comb, factorial, inf
-from typing import Callable
 
 from .counting import _count_grid, avoider_count
-from .perms import _check_int
+from .perms import _Record, _check_int
 
 __all__ = [
     "BivariateSeries",
@@ -47,8 +45,7 @@ __all__ = [
     "verify_identities",
 ]
 
-@dataclass(frozen=True)
-class BivariateSeries:
+class BivariateSeries(_Record):
     """Truncation of a formal power series in x and y to the square window
     [0, order]^2.
 
@@ -59,7 +56,11 @@ class BivariateSeries:
     ``order``.
     """
 
-    coeffs: tuple[tuple[int, ...], ...]
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: tuple[tuple[int, ...], ...]) -> None:
+        super().__init__(coeffs)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         rows = tuple(map(tuple, self.coeffs))
@@ -87,6 +88,7 @@ class BivariateSeries:
         """Coefficient of x^r y^s; raises outside the window."""
         if not (0 <= r <= self.order and 0 <= s <= self.order):
             raise IndexError(f"({r},{s}) outside window [0,{self.order}]x[0,{self.order}]")
+        from fractions import Fraction  # see counting.normalized_excess
         return Fraction(self.coeffs[r][s], factorial(r) * factorial(s))
 
     def __add__(self, other: "BivariateSeries") -> "BivariateSeries":
@@ -204,6 +206,7 @@ def diagonal_collapse(series: BivariateSeries) -> tuple[Fraction, ...]:
     coefficients of total degree m, which is (1/m!) sum_r C(m,r) G[r][m-r]
     in cells.  Only total degrees up to the order stay fully inside the
     window."""
+    from fractions import Fraction  # see counting.normalized_excess
     return tuple(
         Fraction(sum(comb(m, r) * series.coeffs[r][m - r] for r in range(m + 1)), factorial(m))
         for m in range(series.order + 1)
@@ -265,15 +268,14 @@ def excess_ogf(order: int) -> BivariateSeries:
     return count_egf(order) - geometric_series(order)
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(_Record):
     """Verdict of one exact check: a stable key, the statement checked and
     a detail line."""
 
-    key: str
-    name: str
-    passed: bool
-    detail: str = ""
+    __slots__ = ("key", "name", "passed", "detail")
+
+    def __init__(self, key: str, name: str, passed: bool, detail: str = "") -> None:
+        super().__init__(key, name, passed, detail)
 
 
 def _compare(
@@ -297,6 +299,7 @@ def bessel_checks(order: int) -> list[Check]:
     """The Bessel factorization on the window [0, order]^2: the binomial EGF
     is e^(x+y) times the Bessel series (``product``), and collapsing it to
     y = x gives the central binomial EGF (``diagonal``)."""
+    from fractions import Fraction  # see counting.normalized_excess
     _check_int("order", order, 2, inf)
     binomial_egf = binomial_egf_series(order)
     product = exp_sum_series(order) * bessel_i0_series(order)

@@ -5,9 +5,9 @@ not a tolerance issue."""
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Callable
 from itertools import chain
 from math import comb, factorial, inf, perm
-from typing import Callable
 
 from .counting import (
     DEFAULT_SEARCH_LIMIT,

@@ -78,6 +78,15 @@ class TestTable:
         assert out == ""
         assert "error" in err
 
+    def test_bad_r_max_is_refused_before_the_table_is_built(self, capsys, monkeypatch):
+        def build(n_max):
+            raise AssertionError("build_count_table ran before --r-max was checked")
+
+        monkeypatch.setattr(splitpat.cli, "build_count_table", build)
+        code, out, err = run(capsys, "table", "--n-max", "100", "--r-max", "-1")
+        assert (code, out) == (2, "")
+        assert err == "splitpat: error: --r-max must be an int >= 0, got -1\n"
+
     def test_unknown_format_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "table", "--n-max", "3", "--format", "lines")
         assert code == 2
