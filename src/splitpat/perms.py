@@ -5,10 +5,11 @@ block and a right block, written for example 3|12 or 23|1.  A permutation w
 contains a split pattern with respect to a position r when some increasing
 choice of positions i_1 < ... < i_k carries the relative order of the pattern
 and the first j chosen positions lie at or before r while the remaining ones
-lie strictly after.  The permutations avoiding both built-in patterns with
-respect to r form the classes counted in splitpat.counting; the same
-condition characterises when the projection of the associated Schubert
-variety to the rank-r Grassmannian is a fiber bundle.
+lie strictly after; ``contains_split`` transcribes this definition.  The
+permutations avoiding both built-in patterns with respect to r form the
+classes counted in splitpat.counting; the same condition characterises when
+the projection of the associated Schubert variety to the rank-r Grassmannian
+is a fiber bundle.
 
 Positions and values are 1-based in every public interface, a witness is
 the tuple of its positions, and the empty permutation (n = 0) is valid.
@@ -17,6 +18,7 @@ the tuple of its positions, and the empty permutation (n = 0) is valid.
 from __future__ import annotations
 
 import reprlib
+from itertools import combinations
 from math import inf
 
 __all__ = [
@@ -204,29 +206,11 @@ def contains_split(
     j = pattern.split
     k = len(u)
     vals = w.values
-    n = len(vals)
-    chosen: list[int] = []
-
-    def search(slot: int, start: int) -> bool:
-        if slot == k:
-            return True
-        if slot == j:
-            start = max(start, r)
-        # 0-based position bounds: slots before the split stay left of r,
-        # and enough room must remain for the slots still to be placed.
-        stop = min(r if slot < j else n, n - (k - slot - 1))
-        uv = u[slot]
-        for p in range(start, stop):
-            v = vals[p]
-            if all((u[t] < uv) == (vals[q] < v) for t, q in enumerate(chosen)):
-                chosen.append(p)
-                if search(slot + 1, p + 1):
-                    return True
-                chosen.pop()
-        return False
-
-    if search(0, 0):
-        return tuple(p + 1 for p in chosen)
+    for left in combinations(range(r), j):
+        for right in combinations(range(r, len(vals)), k - j):
+            chosen = left + right
+            if all((u[a] < u[b]) == (vals[chosen[a]] < vals[chosen[b]]) for a, b in combinations(range(k), 2)):
+                return tuple(p + 1 for p in chosen)
     return None
 
 
@@ -235,9 +219,9 @@ def split_witnesses(
 ) -> tuple[tuple[int, ...] | None, tuple[int, ...] | None]:
     """The 3|12 and 23|1 witnesses of w with respect to r, in O(n).
 
-    Each entry is exactly what ``contains_split`` returns for that built-in
-    pattern: the lexicographically smallest position tuple, or None.  Tested
-    against it exhaustively for small n and by a property test beyond.
+    Each entry is what ``contains_split``, the definition, returns for that
+    built-in pattern: the lexicographically smallest position tuple, or None.
+    Tested against it exhaustively for small n and by a property test beyond.
 
     >>> split_witnesses(parse_permutation("315642"), 3)
     (None, (1, 3, 6))
@@ -307,8 +291,8 @@ def _avoids(vals: tuple[int, ...], r: int) -> bool:
     ascend, and contains 23|1 at r iff two left-block values above
     min(right block) ascend.  So w avoids both iff each of those two
     subsequences is decreasing, which one pass over each block decides.
-    Must agree with ``contains_split`` on both patterns; tested
-    exhaustively for small n and by a property test beyond.
+    Must agree with the definition, ``contains_split``, on both patterns;
+    tested exhaustively for small n and by a property test beyond.
     """
     n = len(vals)
     if not 0 < r < n:

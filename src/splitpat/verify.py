@@ -5,8 +5,6 @@ not a tolerance issue."""
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Callable
-from itertools import chain
 from math import comb, factorial, inf, perm
 
 from .counting import (
@@ -34,7 +32,7 @@ from .series import (
     main2_checks,
 )
 
-__all__ = ["Check", "REGISTRY", "TARGETS", "run_target"]
+__all__ = ["Check", "TARGETS", "run_target"]
 
 
 def oracle_checks(n_max: int, limit: int = DEFAULT_SEARCH_LIMIT) -> list[Check]:
@@ -44,6 +42,7 @@ def oracle_checks(n_max: int, limit: int = DEFAULT_SEARCH_LIMIT) -> list[Check]:
     count is compared against the closed form alone.  Refuses n_max > limit
     before sweeping the sizes below it.
     """
+    _check_int("n_max", n_max, 1, inf)
     _check_limit(n_max, limit)
     checks = []
     for n in range(n_max + 1):
@@ -77,6 +76,7 @@ def structure_checks(n_max: int, limit: int = DEFAULT_SEARCH_LIMIT) -> list[Chec
     """Structural facts about the avoidance classes, checked by exhaustive
     enumeration for all n <= n_max and all r; a failure names the first
     failing (r, n), n then r.  Refuses n_max > limit before any sweep."""
+    _check_int("n_max", n_max, 1, inf)
     _check_limit(n_max, limit)
     classes: dict[tuple[int, int], list[Permutation]] = {
         (r, n): enumerate_avoiders(r, n, limit=limit)
@@ -125,6 +125,7 @@ _COUNT_N_MAX = 30
 def symmetry_checks(order: int) -> list[Check]:
     """Symmetry and lower bound of the closed-form counts, plus x/y symmetry
     of every named series."""
+    _check_int("order", order, 2, inf)
     counts = {(r, n): avoider_count(r, n) for n in range(_COUNT_N_MAX + 1) for r in range(n + 1)}
     count_sym = all(k == counts[(n - r, n)] for (r, n), k in counts.items())
     bound = all(k >= factorial(r) * factorial(n - r) for (r, n), k in counts.items())
@@ -162,23 +163,7 @@ def recursion_checks(order: int) -> list[Check]:
     ]
 
 
-# A suite maps (order, n_max, limit) to its checks and, for main2 alone, the
-# boundary residual series.
-_Suite = Callable[[int, int, int], tuple[list[Check], BivariateSeries | None]]
-
-# Each target's suites in output order; a target computes only these.  The
-# lambdas look the suite functions up when they run, so rebinding a module
-# attribute (as a tracer does) reaches every target.
-REGISTRY: dict[str, tuple[_Suite, ...]] = {
-    "oracle": (lambda order, n_max, limit: (oracle_checks(n_max, limit=limit), None),),
-    "fibers": (lambda order, n_max, limit: (structure_checks(n_max, limit=limit), None),),
-    "symmetry": (lambda order, n_max, limit: (symmetry_checks(order), None),),
-    "recursion": (lambda order, n_max, limit: (recursion_checks(order), None),),
-    "bessel": (lambda order, n_max, limit: (bessel_checks(order), None),),
-    "main2": (lambda order, n_max, limit: main2_checks(order),),
-}
-REGISTRY["all"] = tuple(chain.from_iterable(REGISTRY.values()))
-TARGETS = tuple(REGISTRY)
+TARGETS = ("oracle", "fibers", "symmetry", "recursion", "bessel", "main2", "all")
 
 
 def run_target(
@@ -191,17 +176,27 @@ def run_target(
     targets that compute it, the residual of the alternative exponential
     boundary choice.  Every target refuses an order below 2, an n_max below
     1 and a negative limit, whether or not its suites use them."""
-    if target not in REGISTRY:
+    if target not in TARGETS:
         raise BadInputError(f"unknown target {target!r}")
     _check_int("order", order, 2, inf)
     _check_int("n_max", n_max, 1, inf)
     _check_int("limit", limit, 0, inf)
 
+    # Each suite is looked up in the module namespace when it runs, so
+    # rebinding a module attribute (as a tracer does) reaches every target.
     checks: list[Check] = []
+    if target in ("oracle", "all"):
+        checks += oracle_checks(n_max, limit=limit)
+    if target in ("fibers", "all"):
+        checks += structure_checks(n_max, limit=limit)
+    if target in ("symmetry", "all"):
+        checks += symmetry_checks(order)
+    if target in ("recursion", "all"):
+        checks += recursion_checks(order)
+    if target in ("bessel", "all"):
+        checks += bessel_checks(order)
     residual: BivariateSeries | None = None
-    for suite in REGISTRY[target]:
-        found, suite_residual = suite(order, n_max, limit)
-        checks.extend(found)
-        if suite_residual is not None:
-            residual = suite_residual
+    if target in ("main2", "all"):
+        found, residual = main2_checks(order)
+        checks += found
     return checks, residual

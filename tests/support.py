@@ -2,7 +2,7 @@
 
 The oracles here deliberately re-derive everything from first principles
 (index-subset enumeration, pairwise order comparison) so they share no code
-path with the library's own search.
+path with the library's own scans.
 """
 
 from itertools import combinations

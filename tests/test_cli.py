@@ -40,6 +40,17 @@ NAMED_SERIES = (
     "count_egf",
     "excess_ogf",
 )
+# The suite each single verify target runs, and the size argument of the
+# suites that take one.
+SUITE_OF_TARGET = {
+    "oracle": "oracle_checks",
+    "fibers": "structure_checks",
+    "symmetry": "symmetry_checks",
+    "recursion": "recursion_checks",
+    "bessel": "bessel_checks",
+    "main2": "main2_checks",
+}
+SIZED_SUITES = {"oracle_checks": "n_max", "structure_checks": "n_max", "symmetry_checks": "order"}
 
 
 def run(capsys, *argv):
@@ -540,6 +551,35 @@ class TestVerify:
         monkeypatch.setattr(splitpat.verify, "enumerate_avoiders", refuse)
         with pytest.raises(SearchLimitError):
             getattr(splitpat.verify, suite)(4, limit=3)
+
+    @pytest.mark.parametrize(
+        "suite, argument, size",
+        [
+            *((suite, argument, size) for suite, argument in SIZED_SUITES.items() for size in (-1, 2.0, True)),
+            ("structure_checks", "n_max", 0),
+        ],
+    )
+    def test_suite_refuses_a_size_it_cannot_check(self, suite, argument, size):
+        with pytest.raises(BadInputError, match=f"^{argument} must be an int") as caught:
+            getattr(splitpat.verify, suite)(size)
+        assert caught.value.argument == argument
+
+    @pytest.mark.parametrize("target", SUITE_OF_TARGET)
+    def test_rebound_suite_reaches_its_target_and_all(self, monkeypatch, target):
+        assert TARGETS == (*SUITE_OF_TARGET, "all")
+        suite = SUITE_OF_TARGET[target]
+        calls = []
+        original = getattr(splitpat.verify, suite)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(splitpat.verify, suite, counted)
+        run_target(target, order=4, n_max=4)
+        assert len(calls) == 1
+        run_target("all", order=4, n_max=4)
+        assert len(calls) == 2
 
     @pytest.mark.parametrize("target", ["bessel", "main2"])
     def test_target_builds_each_series_once(self, monkeypatch, target):

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import splitpat
-from splitpat import BivariateSeries, Check, CountTable, Permutation, SplitPattern, counting, perms, series
+from splitpat import BivariateSeries, Check, CountTable, Permutation, SplitPattern, counting, perms, series, verify
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -32,6 +32,7 @@ DELETED = (
     "binomial",
     "falling_factorial",
     "PatternWitness",
+    "REGISTRY",
 )
 
 
@@ -76,7 +77,7 @@ class TestSurface:
 
     @pytest.mark.parametrize("name", DELETED)
     def test_deleted_names_are_gone(self, name):
-        for module in (splitpat, *MODULES):
+        for module in (splitpat, *MODULES, verify):
             assert not _resolves(module, name), module.__name__
 
 
