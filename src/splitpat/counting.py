@@ -94,11 +94,11 @@ def avoider_count(r: int, n: int) -> int:
 def max_left_avoider_count(r: int, n: int) -> int:
     """Count of avoiders whose maximal value n sits at a position <= r.
 
-    Closed form for 1 <= r < n; for r = n every permutation of S_n
-    qualifies, giving n!.
+    Closed form for 0 <= r < n, an empty sum (0) at r = 0; for r = n every
+    permutation of S_n qualifies, giving n!.
     """
     _check_int("n", n, 1, inf)
-    _check_int("r", r, 1, n)
+    _check_int("r", r, 0, n)
     if r == n:
         return factorial(r)
     # (r)_{i-1} is perm(r, i - 1); every argument is in range as 1 <= i <= r < n.
@@ -110,10 +110,10 @@ def avoider_count_by_peeling(r: int, n: int) -> int:
 
     Each peel either keeps the class position (max right of r, n-r ways to
     reinsert) or ends in a max-left count; summing the resulting telescope
-    must reproduce ``avoider_count`` for every 1 <= r <= n.
+    must reproduce ``avoider_count`` for every 0 <= r <= n (n! at r = 0).
     """
-    _check_int("n", n, 1, inf)
-    _check_int("r", r, 1, n)
+    _check_int("n", n, 0, inf)
+    _check_int("r", r, 0, n)
     # The sum over j of (n-r)_j * max_left_avoider_count(r, n-j), folded by
     # Horner's rule from m = n-j = r upwards.  binoms[k] holds
     # C(m-i-1, r-i) for i = r-k, the binomials of the max-left count at m.

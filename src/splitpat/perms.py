@@ -107,14 +107,6 @@ class Permutation(_Record):
             )
         object.__setattr__(self, "values", values)
 
-    # The structure suite hashes permutations by the thousand, so these skip
-    # _fields(); the hash is a frozen dataclass's, so set order is unchanged.
-    def __eq__(self, other: object) -> bool:
-        return self.values == other.values if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.values,))
-
     @property
     def n(self) -> int:
         return len(self.values)
@@ -284,8 +276,8 @@ def _witness_23_1(vals: tuple[int, ...], r: int) -> tuple[int, ...] | None:
 
 
 def _avoids(vals: tuple[int, ...], r: int) -> bool:
-    """Raw-tuple avoidance test behind ``is_avoider`` and the full S_n sweep
-    of ``enumerate_avoiders``.
+    """Raw-tuple avoidance test behind ``is_avoider`` and the full S_n sweeps
+    of ``enumerate_avoiders`` and ``verify.structure_checks``.
 
     w contains 3|12 at r iff two right-block values below max(left block)
     ascend, and contains 23|1 at r iff two left-block values above
@@ -330,9 +322,15 @@ def remove_max(w: Permutation) -> Permutation:
     >>> str(remove_max(parse_permutation("432615")))
     '43215'
     """
-    if w.n == 0:
+    if not w.values:
         raise ValueError("cannot remove from the empty permutation")
-    return Permutation(tuple(v for v in w.values if v != w.n))
+    return Permutation(_remove_max(w.values))
+
+
+def _remove_max(vals: tuple[int, ...]) -> tuple[int, ...]:
+    """``remove_max`` on the raw tuple of a nonempty permutation."""
+    i = vals.index(len(vals))
+    return vals[:i] + vals[i + 1 :]
 
 
 def rotate180(w: Permutation) -> Permutation:
@@ -345,5 +343,10 @@ def rotate180(w: Permutation) -> Permutation:
     >>> str(rotate180(parse_permutation("315642")))
     '531264'
     """
-    n = w.n
-    return Permutation(tuple(n + 1 - v for v in reversed(w.values)))
+    return Permutation(_rotate180(w.values))
+
+
+def _rotate180(vals: tuple[int, ...]) -> tuple[int, ...]:
+    """``rotate180`` on a raw tuple."""
+    top = len(vals) + 1
+    return tuple(top - v for v in reversed(vals))

@@ -5,6 +5,7 @@ not a tolerance issue."""
 from __future__ import annotations
 
 from collections import Counter
+from itertools import permutations
 from math import comb, factorial, inf, perm
 
 from .counting import (
@@ -14,10 +15,9 @@ from .counting import (
     avoider_count_by_peeling,
     brute_count,
     check_excess_recursion,
-    enumerate_avoiders,
     max_left_avoider_count,
 )
-from .perms import BadInputError, Permutation, _check_int, remove_max, rotate180
+from .perms import BadInputError, _avoids, _check_int, _remove_max, _rotate180
 from .series import (
     BivariateSeries,
     Check,
@@ -38,9 +38,7 @@ __all__ = ["Check", "TARGETS", "run_target"]
 def oracle_checks(n_max: int, limit: int = DEFAULT_SEARCH_LIMIT) -> list[Check]:
     """Brute force vs closed form vs peeling, for every r at each size.
 
-    The peeling route is only defined for r >= 1, so at r = 0 the brute
-    count is compared against the closed form alone.  Refuses n_max > limit
-    before sweeping the sizes below it.
+    Refuses n_max > limit before sweeping the sizes below it.
     """
     _check_int("n_max", n_max, 1, inf)
     _check_limit(n_max, limit)
@@ -49,9 +47,7 @@ def oracle_checks(n_max: int, limit: int = DEFAULT_SEARCH_LIMIT) -> list[Check]:
         ok = True
         detail = ""
         for r in range(n + 1):
-            counts = {brute_count(r, n, limit=limit), avoider_count(r, n)}
-            if r >= 1:
-                counts.add(avoider_count_by_peeling(r, n))
+            counts = {brute_count(r, n, limit=limit), avoider_count(r, n), avoider_count_by_peeling(r, n)}
             if len(counts) != 1:
                 ok = False
                 detail = f"disagreement at r={r}: {sorted(counts)}"
@@ -73,33 +69,32 @@ _STRUCTURE_FACTS = {
 
 
 def structure_checks(n_max: int, limit: int = DEFAULT_SEARCH_LIMIT) -> list[Check]:
-    """Structural facts about the avoidance classes, checked by exhaustive
-    enumeration for all n <= n_max and all r; a failure names the first
-    failing (r, n), n then r.  Refuses n_max > limit before any sweep."""
+    """Structural facts about the avoidance classes, swept from S_n as plain
+    tuples for all n <= n_max and all r; a failure names the first failing
+    (r, n), n then r.  Refuses n_max > limit before any sweep."""
     _check_int("n_max", n_max, 1, inf)
     _check_limit(n_max, limit)
-    classes: dict[tuple[int, int], list[Permutation]] = {
-        (r, n): enumerate_avoiders(r, n, limit=limit)
+    classes: dict[tuple[int, int], list[tuple[int, ...]]] = {
+        (r, n): [w for w in permutations(range(1, n + 1)) if _avoids(w, r)]
         for n in range(n_max + 1)
         for r in range(n + 1)
     }
 
     def facts(r: int, n: int) -> dict[str, bool]:
         members = classes[(r, n)]
-        max_left = [w for w in members if n in w.values[:r]]
-        expected_left = max_left_avoider_count(r, n) if r >= 1 else 0
+        max_left = [w for w in members if n in w[:r]]
         found = {
-            "split": len(max_left) == expected_left and len(members) == avoider_count(r, n),
-            "rotate": {rotate180(w) for w in members} == set(classes[(n - r, n)]),
+            "split": len(max_left) == max_left_avoider_count(r, n) and len(members) == avoider_count(r, n),
+            "rotate": {_rotate180(w) for w in members} == set(classes[(n - r, n)]),
         }
         if r < n:
-            fibers = Counter(remove_max(w) for w in members if n not in w.values[:r])
+            fibers = Counter(_remove_max(w) for w in members if n not in w[:r])
             found["fibers"] = fibers == {w: n - r for w in classes[(r, n - 1)]}
         if r >= 1:
             smaller = set(classes[(r - 1, n - 1)])
-            found["peel-left"] = all(remove_max(w) in smaller for w in max_left)
+            found["peel-left"] = all(_remove_max(w) in smaller for w in max_left)
         if 0 < r < n:
-            found["partition"] = Counter(min(w.values[r:]) for w in max_left) == {
+            found["partition"] = Counter(min(w[r:]) for w in max_left) == {
                 i: comb(n - i - 1, r - i) * perm(r, i - 1) for i in range(1, r + 1)
             }
         return found

@@ -147,10 +147,10 @@ class TestCount:
         assert code == 0
         assert out == "16\n"
 
-    def test_corollary_needs_positive_r(self, capsys):
-        code, out, err = run(capsys, "count", "--r", "0", "--n", "4", "--method", "corollary")
-        assert (code, out) == (2, "")
-        assert err == "splitpat: error: --r must be an int in 1..4, got 0\n"
+    def test_corollary_covers_r_zero(self, capsys):
+        # The peeling telescope leaves n! at r = 0, and 1 at (0, 0).
+        assert run(capsys, "count", "--r", "0", "--n", "5", "--method", "corollary") == (0, "120\n", "")
+        assert run(capsys, "count", "--r", "0", "--n", "0", "--method", "corollary") == (0, "1\n", "")
 
     def test_r_out_of_range(self, capsys):
         code, _, _ = run(capsys, "count", "--r", "5", "--n", "3")
@@ -500,6 +500,17 @@ class TestVerify:
         assert [c.passed for c in checks] == [True] * 5 + [False, True]
         assert checks[5].detail == "disagreement at r=2: [47, 48]"
 
+    def test_oracle_flags_a_corrupted_peeling_count_at_r_zero(self, monkeypatch):
+        peeling = splitpat.verify.avoider_count_by_peeling
+        monkeypatch.setattr(
+            splitpat.verify,
+            "avoider_count_by_peeling",
+            lambda r, n: peeling(r, n) + ((r, n) == (0, 3)),
+        )
+        checks = splitpat.verify.oracle_checks(4)
+        assert [c.passed for c in checks] == [True] * 3 + [False, True]
+        assert checks[3].detail == "disagreement at r=0: [6, 7]"
+
     @pytest.mark.parametrize(
         "name, corrupt, failures",
         [
@@ -509,15 +520,13 @@ class TestVerify:
                 {"split": "split sizes wrong at (r,n)=(2,2)"},
             ),
             (
-                "rotate180",
-                lambda original: lambda w: w if w.n >= 4 else original(w),
+                "_rotate180",
+                lambda original: lambda w: w if len(w) >= 4 else original(w),
                 {"rotate": "rotation image wrong at (r,n)=(1,4)"},
             ),
             (
-                "remove_max",
-                lambda original: lambda w: (
-                    Permutation(original(w).values[::-1]) if w.n >= 5 else original(w)
-                ),
+                "_remove_max",
+                lambda original: lambda w: original(w)[::-1] if len(w) >= 5 else original(w),
                 {
                     "fibers": "fiber sizes wrong at (r,n)=(1,5)",
                     "peel-left": "max-left peel leaves the class at (r,n)=(3,5)",
@@ -528,8 +537,17 @@ class TestVerify:
                 lambda original: lambda *args: 0,
                 {"partition": "partition sizes wrong at (r,n)=(1,2)"},
             ),
+            (
+                "_avoids",
+                lambda original: lambda w, r: original(w, r) and (w, r) != ((2, 1, 3, 5, 4), 2),
+                {
+                    "split": "split sizes wrong at (r,n)=(2,5)",
+                    "fibers": "fiber sizes wrong at (r,n)=(2,5)",
+                    "rotate": "rotation image wrong at (r,n)=(2,5)",
+                },
+            ),
         ],
-        ids=["split", "rotate", "fibers-and-peel-left", "partition"],
+        ids=["split", "rotate", "fibers-and-peel-left", "partition", "sweep"],
     )
     def test_structure_suite_names_the_first_failing_cell(
         self, monkeypatch, name, corrupt, failures
@@ -548,7 +566,7 @@ class TestVerify:
             raise AssertionError(f"{suite} swept below the guard")
 
         monkeypatch.setattr(splitpat.verify, "brute_count", refuse)
-        monkeypatch.setattr(splitpat.verify, "enumerate_avoiders", refuse)
+        monkeypatch.setattr(splitpat.verify, "_avoids", refuse)
         with pytest.raises(SearchLimitError):
             getattr(splitpat.verify, suite)(4, limit=3)
 

