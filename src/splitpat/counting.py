@@ -3,8 +3,9 @@
 Counts come from three independent routes: a brute-force oracle that
 sweeps the orderings of each block of every split of the values, a
 closed-form double sum, and a peeling recurrence that repeatedly removes the
-maximal value.  The count table is filled from the integer form of the
-excess recursion instead; the closed form is its independent check, and
+maximal value.  Every grid of counts, the count table included, is read off
+the closed form's own Horner fold, one pass per column of fixed n - r; the
+integer form of the excess recursion is only checked against it, and
 ``check_excess_recursion`` lists the cells where the two disagree.  All
 arithmetic is arbitrary-precision integer or rational, with binomials and
 falling factorials from ``math.comb`` and ``math.perm``; nothing here
@@ -15,7 +16,7 @@ large.
 from __future__ import annotations
 
 import json
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from itertools import combinations, permutations
 from math import comb, factorial, inf, perm
 
@@ -80,15 +81,30 @@ def avoider_count(r: int, n: int) -> int:
     """
     _check_int("n", n, 0, inf)
     _check_int("r", r, 0, n)
-    s = n - r
-    outer = 0
-    for k in range(r):  # k = r - i, i from r down to 1
+    for count in _closed_form_counts(n - r, r):
+        pass
+    return count
+
+
+def _closed_form_counts(s: int, r_max: int) -> Iterator[int]:
+    """Yield ``avoider_count(r, r + s)`` for r = 0..r_max: the inner sums do
+    not depend on r, so the outer fold passes through every r' <= r_max."""
+    floor, outer = factorial(s), 0  # floor = r! s!
+    yield floor + outer
+    for k in range(r_max):  # k = r - i, i from r down to 1
         c, inner = 1, 0  # c = C(k + t, k) = C(n-i-j, r-i) with t = s - j
         for t in range(s):
             inner = c + (t + 1) * inner
             c = c * (k + t + 1) // (t + 1)
         outer = inner + (k + 1) * outer
-    return factorial(r) * factorial(s) + outer
+        floor *= k + 1
+        yield floor + outer
+
+
+def _count_square(order: int) -> Iterator[tuple[int, ...]]:
+    """Rows ``(avoider_count(r, r + s) for s in 0..order)`` for r = 0..order,
+    read off one closed-form column per s."""
+    return zip(*(_closed_form_counts(s, order) for s in range(order + 1)))
 
 
 def max_left_avoider_count(r: int, n: int) -> int:
@@ -234,17 +250,17 @@ def check_excess_recursion(order: int) -> list[tuple[int, int]]:
 
         K(r,s) = s K(r,s-1) + r K(r-1,s) - r s K(r-1,s-1) + C(r+s-2, r-1),
 
-    which fails at exactly the same cells and is what gets tested.  Returns
-    the violating cells (r, s) in row-major order: violations are a result,
-    not errors.
+    which fails at exactly the same cells and is what gets tested, on the
+    counts of ``_count_square``.  Returns the violating cells (r, s) in
+    row-major order: violations are a result, not errors.
     """
     _check_int("order", order, 1, inf)
-    k = {(r, s): avoider_count(r, r + s) for r in range(order + 1) for s in range(order + 1)}
+    k = tuple(_count_square(order))
     violations = []
     for r in range(1, order + 1):
         for s in range(1, order + 1):
-            expected = s * k[(r, s - 1)] + r * k[(r - 1, s)] - r * s * k[(r - 1, s - 1)] + comb(r + s - 2, r - 1)
-            if k[(r, s)] != expected:
+            expected = s * k[r][s - 1] + r * k[r - 1][s] - r * s * k[r - 1][s - 1] + comb(r + s - 2, r - 1)
+            if k[r][s] != expected:
                 violations.append((r, s))
     return violations
 
@@ -291,36 +307,13 @@ class CountTable(_Record):
         )
 
 
-def _count_grid(n_max: int) -> list[list[int]]:
-    """Rows ``grid[r][s] = avoider_count(r, r + s)`` for r + s <= n_max,
-    from the integer form of the excess recursion (see
-    ``check_excess_recursion``)
-
-        K(r,s) = s K(r,s-1) + r K(r-1,s) - r s K(r-1,s-1) + C(r+s-2, r-1),
-
-    with K(r,0) = r! and K(0,s) = s!.  Row r needs only row r-1, and the
-    binomial moves along the row in place, so every cell costs a few
-    products of a big integer by a small one.
-    """
-    grid = [[factorial(s) for s in range(n_max + 1)]]
-    for r in range(1, n_max + 1):
-        above = grid[-1]
-        row = [r * above[0]]
-        c = 1  # C(r+s-2, r-1) at s = 1
-        for s in range(1, n_max - r + 1):
-            row.append(s * row[-1] + r * (above[s] - s * above[s - 1]) + c)
-            c = c * (r + s - 1) // s
-        grid.append(row)
-    return grid
-
-
 def build_count_table(n_max: int) -> CountTable:
-    """Counts for all 0 <= r <= n <= n_max, from the integer recursion.
+    """Counts for all 0 <= r <= n <= n_max, one closed-form column per n - r.
 
-    ``avoider_count``, the paper's closed form, is the independent check on
-    these values; the tests compare the two on every cell with n <= 100.
+    The integer excess recursion is the independent check on these values;
+    the tests compare the two on every cell with n <= 100.
     """
     _check_int("n_max", n_max, 1, inf)
-    grid = _count_grid(n_max)
-    entries = {(r, n): grid[r][n - r] for n in range(n_max + 1) for r in range(n + 1)}
+    columns = (_closed_form_counts(s, n_max - s) for s in range(n_max + 1))
+    entries = {(r, r + s): k for s, column in enumerate(columns) for r, k in enumerate(column)}
     return CountTable(entries)

@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from math import comb, factorial, inf
 
-from .counting import _count_grid, avoider_count
+from .counting import _count_square
 from .perms import _Record, _check_int
 
 __all__ = [
@@ -162,7 +162,8 @@ def divide_by_unit(num: BivariateSeries, den: BivariateSeries) -> BivariateSerie
     The denominator must have constant term 1, as (1-x)(1-y) has, so the
     quotient cells stay ints; they are filled row by row, so every cell the
     recurrence needs is already available when it is read.  Dividing by
-    (1-x)(1-y) is the integer excess recursion of ``counting._count_grid``.
+    (1-x)(1-y) is the integer excess recursion that
+    ``counting.check_excess_recursion`` tests.
     """
     if den.coeffs[0][0] != 1:
         raise ValueError(f"denominator must have constant term 1, got {den.coeffs[0][0]}")
@@ -258,8 +259,8 @@ def integrated_binomial_egf(order: int) -> BivariateSeries:
 def count_egf(order: int) -> BivariateSeries:
     """Bivariate EGF of the avoidance counts: coefficient
     avoider_count(r, r+s) / (r! s!), so the cell is the count itself, read
-    off the integer excess recursion (``counting._count_grid``)."""
-    return BivariateSeries(tuple(row[: order + 1] for row in _count_grid(2 * order)[: order + 1]))
+    off the closed form one column per s (``counting._count_square``)."""
+    return BivariateSeries(tuple(_count_square(order)))
 
 
 def excess_ogf(order: int) -> BivariateSeries:
@@ -322,9 +323,8 @@ def main2_checks(order: int) -> tuple[list[Check], BivariateSeries]:
     Checks that L is the integral (``integral``) and has the binomial EGF as
     mixed partial (``derivative``), that (1-x-y+xy) times the excess OGF is
     L (``excess``) and the closed form of K (``count``).  Both of the last
-    two take K from the closed form ``avoider_count``, evaluated once per
-    cell: ``count_egf`` comes from the same recursion as the division, so
-    comparing it would check the recursion against itself.  The
+    two take K from ``count_egf``, the closed form, so ``count`` checks it
+    against the division, which is the excess recursion.  The
     ``boundary`` check evaluates the fraction with boundary rows e^x and e^y
     instead of zero and passes when its residual against K, which is
     returned too, is nonzero: the discrepancy between the two conventions
@@ -334,7 +334,7 @@ def main2_checks(order: int) -> tuple[list[Check], BivariateSeries]:
     binomial_egf = binomial_egf_series(order)
     integrated = integrated_binomial_egf(order)
     unit = one_minus_x_minus_y_plus_xy(order)
-    counts = BivariateSeries.from_fn(lambda r, s: avoider_count(r, r + s), order)
+    counts = count_egf(order)
     one = BivariateSeries.constant(1, order)
     derivative = partial_xy(integrated_binomial_egf(order + 1))
     integral = integrate_xy(binomial_egf)

@@ -14,6 +14,7 @@ from .counting import (
     avoider_count,
     avoider_count_by_peeling,
     brute_count,
+    build_count_table,
     check_excess_recursion,
     max_left_avoider_count,
 )
@@ -121,7 +122,7 @@ def symmetry_checks(order: int) -> list[Check]:
     """Symmetry and lower bound of the closed-form counts, plus x/y symmetry
     of every named series."""
     _check_int("order", order, 2, inf)
-    counts = {(r, n): avoider_count(r, n) for n in range(_COUNT_N_MAX + 1) for r in range(n + 1)}
+    counts = build_count_table(_COUNT_N_MAX).entries
     count_sym = all(k == counts[(n - r, n)] for (r, n), k in counts.items())
     bound = all(k >= factorial(r) * factorial(n - r) for (r, n), k in counts.items())
     named: dict[str, BivariateSeries] = {

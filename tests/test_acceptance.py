@@ -78,10 +78,7 @@ def test_criterion_2_oracle_equivalence():
         start = time.perf_counter()
         for n in range(9):
             for r in range(n + 1):
-                counts = {brute_count(r, n), avoider_count(r, n)}
-                if r >= 1:
-                    # The peeling route is defined for r >= 1 only.
-                    counts.add(avoider_count_by_peeling(r, n))
+                counts = {brute_count(r, n), avoider_count(r, n), avoider_count_by_peeling(r, n)}
                 assert len(counts) == 1, f"disagreement at (r,n)=({r},{n}): {counts}"
         elapsed = time.perf_counter() - start
         assert elapsed < 30.0, f"took {elapsed:.2f}s"

@@ -21,6 +21,7 @@ from splitpat import (
     PATTERN_3_12,
     BadInputError,
     BivariateSeries,
+    CountTable,
     Permutation,
     is_avoider,
 )
@@ -482,10 +483,14 @@ class TestVerify:
         assert checks["series-symmetry"].detail == "asymmetric: count_egf"
 
         monkeypatch.undo()
-        closed_form = splitpat.verify.avoider_count
-        monkeypatch.setattr(
-            splitpat.verify, "avoider_count", lambda r, n: closed_form(r, n) + ((r, n) == (2, 5))
-        )
+        real_table = splitpat.verify.build_count_table
+
+        def corrupted_table(n_max):
+            entries = dict(real_table(n_max).entries)
+            entries[(2, 5)] += 1
+            return CountTable(entries)
+
+        monkeypatch.setattr(splitpat.verify, "build_count_table", corrupted_table)
         checks = splitpat.verify.symmetry_checks(4)
         assert [c.key for c in checks if not c.passed] == ["count-symmetry"]
 

@@ -57,6 +57,13 @@ class TestClosedForm:
             for r in range(n + 1):
                 assert avoider_count(r, n) == closed_form_double_sum(r, n), (r, n)
 
+    def test_every_prefix_of_a_column_is_a_count(self):
+        # avoider_count keeps only a column's last value; every earlier one
+        # is a count too, here up to r + s = 60.
+        for s in range(31):
+            column = list(splitpat.counting._closed_form_counts(s, 30))
+            assert column == [closed_form_double_sum(r, r + s) for r in range(31)], s
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             avoider_count(3, 2)
@@ -123,15 +130,22 @@ class TestPeelingRoute:
                 assert avoider_count_by_peeling(r, n) == literal, (r, n)
 
 
-def _rolled_recurrence(r, s):
-    """K(r, s) = avoider_count(r, r + s) from the integer excess recursion,
-    one row of fixed r at a time, with a fresh binomial per cell."""
-    row = [factorial(b) for b in range(s + 1)]
-    for a in range(1, r + 1):
+def _recurrence_rows(r_max, s_max):
+    """Rows [K(a, b) for b <= s_max] for a = 0..r_max, K(a, b) =
+    avoider_count(a, a + b), from the integer excess recursion, one row of
+    fixed a at a time, with a fresh binomial per cell."""
+    row = [factorial(b) for b in range(s_max + 1)]
+    yield row
+    for a in range(1, r_max + 1):
         new = [factorial(a)]
-        for b in range(1, s + 1):
+        for b in range(1, s_max + 1):
             new.append(b * new[b - 1] + a * row[b] - a * b * row[b - 1] + comb(a + b - 2, a - 1))
         row = new
+        yield row
+
+
+def _rolled_recurrence(r, s):
+    *_, row = _recurrence_rows(r, s)
     return row[s]
 
 
@@ -144,11 +158,12 @@ class TestCountRoutesAgree:
         assert avoider_count(r, n) == expected
         assert avoider_count_by_peeling(r, n) == expected
 
-    def test_table_matches_closed_form_up_to_100(self):
+    def test_table_matches_the_excess_recursion_up_to_100(self):
         entries = build_count_table(100).entries
         assert len(entries) == 101 * 102 // 2
+        grid = list(_recurrence_rows(100, 100))
         for (r, n), k in entries.items():
-            assert k == avoider_count(r, n), (r, n)
+            assert k == grid[r][n - r], (r, n)
 
 
 class TestBruteForce:
@@ -184,7 +199,8 @@ class TestBruteForce:
             "avoider_count",
             "avoider_count_by_peeling",
             "max_left_avoider_count",
-            "_count_grid",
+            "_closed_form_counts",
+            "_count_square",
             "comb",
             "factorial",
             "perm",
@@ -299,14 +315,16 @@ class TestExcessRecursion:
         assert normalized_excess(1, 1) == 0 + 0 - 0 + Fraction(comb(0, 0), 1)
 
     def test_integer_form_flags_the_rational_violations(self, monkeypatch):
-        # Corrupt one count; the integer recursion must fail at exactly the
-        # cells where the rational recursion on the normalized excess fails.
-        import splitpat.counting
+        # Corrupt one count where both sides read it, in the closed form's
+        # columns; the integer recursion must fail at exactly the cells where
+        # the rational recursion on the normalized excess fails.
+        exact = splitpat.counting._closed_form_counts
 
-        exact = splitpat.counting.avoider_count
-        monkeypatch.setattr(
-            splitpat.counting, "avoider_count", lambda r, n: exact(r, n) + ((r, n) == (2, 5))
-        )
+        def corrupted(s, r_max):
+            for r, k in enumerate(exact(s, r_max)):
+                yield k + ((r, s) == (2, 3))
+
+        monkeypatch.setattr(splitpat.counting, "_closed_form_counts", corrupted)
         rational = [
             (r, s)
             for r in range(1, 5)
