@@ -2,9 +2,10 @@
 
 Data goes to stdout, diagnostics to stderr, and all data output is
 byte-for-byte deterministic for a given command line.  Exit codes: 0 for
-success (or "avoids" for check), 1 when check finds a contained pattern or
-a verification target fails, 2 for bad input, 3 when a brute-force request
-exceeds the exhaustive-search guard.  Arguments are checked by the library
+success (or "avoids" for check), 1 when check finds a contained pattern, a
+verification target fails or the reader of stdout is gone (as under
+``| head``), 2 for bad input, 3 when a brute-force request exceeds the
+exhaustive-search guard.  Arguments are checked by the library
 functions that use them; ``main`` is the one place where their refusals
 (``BadInputError`` and ``SearchLimitError``) become exit codes, and a
 refused option value, or a guard refusal, is reported under the option's
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from math import inf
 
@@ -41,7 +43,6 @@ def _fail_usage(message: str) -> int:
 _OPTIONS = {
     "n": "--n",
     "r": "--r",
-    "position r": "--r",
     "n_max": "--n-max",
     "r_max": "--r-max",
     "order": "--order",
@@ -224,7 +225,13 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # The reader of stdout is gone, as under ``| head``: quiet the exit flush.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except SearchLimitError as exc:
         print(
             f"splitpat: error: size {exc.size} exceeds the exhaustive-search guard "

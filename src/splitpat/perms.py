@@ -1,15 +1,13 @@
-"""Permutations in one-line notation and split-pattern containment.
+"""Permutations in one-line notation and the split patterns 3|12 and 23|1.
 
-A split pattern is a permutation of size k divided at an index j into a left
-block and a right block, written for example 3|12 or 23|1.  A permutation w
-contains a split pattern with respect to a position r when some increasing
-choice of positions i_1 < ... < i_k carries the relative order of the pattern
-and the first j chosen positions lie at or before r while the remaining ones
-lie strictly after; ``contains_split`` transcribes this definition.  The
-permutations avoiding both built-in patterns with respect to r form the
-classes counted in splitpat.counting; the same condition characterises when
-the projection of the associated Schubert variety to the rank-r Grassmannian
-is a fiber bundle.
+A permutation w contains 3|12 with respect to a position r when some
+positions i_1 <= r < i_2 < i_3 carry values w(i_2) < w(i_3) < w(i_1), and
+contains 23|1 when some positions i_1 < i_2 <= r < i_3 carry values
+w(i_3) < w(i_1) < w(i_2); ``contains_split`` transcribes this definition.
+The permutations avoiding both with respect to r form the classes counted
+in splitpat.counting; the same condition characterises when the projection
+of the associated Schubert variety to the rank-r Grassmannian is a fiber
+bundle.
 
 Positions and values are 1-based in every public interface, a witness is
 the tuple of its positions, and the empty permutation (n = 0) is valid.
@@ -24,9 +22,6 @@ from math import inf
 __all__ = [
     "BadInputError",
     "Permutation",
-    "SplitPattern",
-    "PATTERN_3_12",
-    "PATTERN_23_1",
     "parse_permutation",
     "format_permutation",
     "contains_split",
@@ -158,50 +153,33 @@ def _check_int(name: str, value: int, lo: int, hi: int) -> None:
         raise BadInputError(f"{name} must be an int {allowed}, got {value!r}", name)
 
 
-class SplitPattern(_Record):
-    """A pattern permutation together with the split index 0 <= j <= k."""
-
-    __slots__ = ("pattern", "split")
-
-    def __init__(self, pattern: Permutation, split: int) -> None:
-        _check_int("split", split, 0, pattern.n)
-        super().__init__(pattern, split)
-
-    def __str__(self) -> str:
-        digits = [str(v) for v in self.pattern.values]
-        return "".join(digits[: self.split]) + "|" + "".join(digits[self.split :])
-
-
-PATTERN_3_12 = SplitPattern(Permutation((3, 1, 2)), 1)
-PATTERN_23_1 = SplitPattern(Permutation((2, 3, 1)), 2)
+# 3|12 and 23|1, each as (values, split): the pattern permutation and how
+# many of its positions lie at or before r.
+_PATTERNS = (((3, 1, 2), 1), ((2, 3, 1), 2))
 
 
 def contains_split(
-    w: Permutation, pattern: SplitPattern, r: int
-) -> tuple[int, ...] | None:
-    """Search for an occurrence of ``pattern`` in ``w`` with respect to r.
+    w: Permutation, r: int
+) -> tuple[tuple[int, ...] | None, tuple[int, ...] | None]:
+    """The 3|12 and 23|1 witnesses of w with respect to r, by the definition.
 
-    Returns the positions of the lexicographically smallest witness, or None
-    when w avoids the pattern with respect to r.  The split constraint
-    is a hard position filter: the first ``pattern.split`` chosen positions
-    must be <= r and the rest must be > r.  For split index 0 the whole
-    occurrence must sit right of r, for split index k entirely at or left
-    of r.
+    Each entry is the lexicographically smallest tuple of positions that
+    carries the pattern as the module docstring defines it, or None when w
+    avoids that pattern.  This subset scan is the reference that the linear
+    scans ``split_witnesses`` and ``_avoids`` are tested against.
 
-    >>> contains_split(Permutation((3, 1, 5, 6, 4, 2)), PATTERN_23_1, 3)
-    (1, 3, 6)
-    >>> contains_split(Permutation((3, 1, 5, 6, 4, 2)), PATTERN_3_12, 3) is None
-    True
+    >>> contains_split(Permutation((3, 1, 5, 6, 4, 2)), 3)
+    (None, (1, 3, 6))
     """
-    _check_int("position r", r, 0, w.n)
-    u = pattern.pattern.values
-    j = pattern.split
-    k = len(u)
-    vals = w.values
+    _check_int("r", r, 0, w.n)
+    return tuple(_first_occurrence(w.values, u, j, r) for u, j in _PATTERNS)
+
+
+def _first_occurrence(vals: tuple[int, ...], u: tuple[int, ...], j: int, r: int) -> tuple[int, ...] | None:
     for left in combinations(range(r), j):
-        for right in combinations(range(r, len(vals)), k - j):
+        for right in combinations(range(r, len(vals)), 3 - j):
             chosen = left + right
-            if all((u[a] < u[b]) == (vals[chosen[a]] < vals[chosen[b]]) for a, b in combinations(range(k), 2)):
+            if all((u[a] < u[b]) == (vals[chosen[a]] < vals[chosen[b]]) for a, b in combinations(range(3), 2)):
                 return tuple(p + 1 for p in chosen)
     return None
 
@@ -211,14 +189,14 @@ def split_witnesses(
 ) -> tuple[tuple[int, ...] | None, tuple[int, ...] | None]:
     """The 3|12 and 23|1 witnesses of w with respect to r, in O(n).
 
-    Each entry is what ``contains_split``, the definition, returns for that
-    built-in pattern: the lexicographically smallest position tuple, or None.
-    Tested against it exhaustively for small n and by a property test beyond.
+    Equal to ``contains_split(w, r)``, the definition: each entry is the
+    lexicographically smallest position tuple, or None.  Tested against it
+    exhaustively for small n and by a property test beyond.
 
     >>> split_witnesses(parse_permutation("315642"), 3)
     (None, (1, 3, 6))
     """
-    _check_int("position r", r, 0, w.n)
+    _check_int("r", r, 0, w.n)
     return _witness_3_12(w.values, r), _witness_23_1(w.values, r)
 
 
@@ -283,7 +261,7 @@ def _avoids(vals: tuple[int, ...], r: int) -> bool:
     ascend, and contains 23|1 at r iff two left-block values above
     min(right block) ascend.  So w avoids both iff each of those two
     subsequences is decreasing, which one pass over each block decides.
-    Must agree with the definition, ``contains_split``, on both patterns;
+    Must equal the definition, ``contains_split(w, r) == (None, None)``;
     tested exhaustively for small n and by a property test beyond.
     """
     n = len(vals)
@@ -312,7 +290,7 @@ def is_avoider(w: Permutation, r: int) -> bool:
     Avoidance at r = 0 and r = n is universal: the split constraint leaves
     no room for the block on the short side of the divider.
     """
-    _check_int("position r", r, 0, w.n)
+    _check_int("r", r, 0, w.n)
     return _avoids(w.values, r)
 
 

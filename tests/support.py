@@ -8,7 +8,7 @@ path with the library's own scans.
 from itertools import combinations
 from math import comb, factorial
 
-from splitpat import Permutation, SplitPattern
+from splitpat import Permutation
 
 # The published count table: (r, n) -> count, every printed cell.
 TABLE1 = {
@@ -38,6 +38,13 @@ def closed_form_double_sum(r: int, n: int) -> int:
     return total
 
 
+# The two split patterns, each as (values, split): the pattern permutation
+# and how many of its positions lie at or before r.
+PATTERN_3_12 = ((3, 1, 2), 1)
+PATTERN_23_1 = ((2, 3, 1), 2)
+PATTERNS = (PATTERN_3_12, PATTERN_23_1)
+
+
 def same_relative_order(window, pattern_vals):
     k = len(pattern_vals)
     return all(
@@ -47,12 +54,11 @@ def same_relative_order(window, pattern_vals):
     )
 
 
-def oracle_witnesses(w: Permutation, pattern: SplitPattern, r: int):
-    """All witnesses, in lexicographic index order, by plain enumeration of
-    index subsets."""
-    u = pattern.pattern.values
+def oracle_witnesses(w: Permutation, pattern, r: int):
+    """All witnesses of the (values, split) pattern, in lexicographic index
+    order, by plain enumeration of index subsets."""
+    u, j = pattern
     k = len(u)
-    j = pattern.split
     found = []
     for idx in combinations(range(1, w.n + 1), k):
         if j > 0 and idx[j - 1] > r:
@@ -64,17 +70,16 @@ def oracle_witnesses(w: Permutation, pattern: SplitPattern, r: int):
     return found
 
 
-def oracle_contains(w: Permutation, pattern: SplitPattern, r: int) -> bool:
+def oracle_contains(w: Permutation, pattern, r: int) -> bool:
     return bool(oracle_witnesses(w, pattern, r))
 
 
-def assert_valid_witness(w: Permutation, pattern: SplitPattern, r: int, idx):
-    """Independent re-check of a witness, the tuple of its positions, against
-    the containment definition."""
+def assert_valid_witness(w: Permutation, pattern, r: int, idx):
+    """Independent re-check of a witness, the tuple of its positions, of the
+    (values, split) pattern against the containment definition."""
     assert type(idx) is tuple
-    u = pattern.pattern.values
+    u, j = pattern
     k = len(u)
-    j = pattern.split
     assert len(idx) == k
     assert all(1 <= i <= w.n for i in idx)
     assert all(a < b for a, b in zip(idx, idx[1:]))

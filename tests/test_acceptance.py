@@ -14,8 +14,6 @@ from math import comb, factorial
 
 from splitpat import (
     BivariateSeries,
-    PATTERN_23_1,
-    PATTERN_3_12,
     Permutation,
     avoider_count,
     avoider_count_by_peeling,
@@ -36,7 +34,7 @@ from splitpat import (
 )
 from splitpat.cli import main
 from splitpat.verify import structure_checks
-from support import TABLE1, assert_valid_witness
+from support import PATTERNS, TABLE1, assert_valid_witness
 
 
 def _report(criterion, body, capsys=None):
@@ -146,8 +144,7 @@ def test_criterion_6_property_suite():
             n = rng.randint(1, 10)
             w = Permutation(tuple(rng.sample(range(1, n + 1), n)))
             r = rng.randint(0, n)
-            for pattern in (PATTERN_3_12, PATTERN_23_1):
-                witness = contains_split(w, pattern, r)
+            for pattern, witness in zip(PATTERNS, contains_split(w, r)):
                 if witness is not None:
                     assert_valid_witness(w, pattern, r, witness)
 

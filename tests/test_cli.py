@@ -17,8 +17,6 @@ import splitpat.cli
 import splitpat.series
 import splitpat.verify
 from splitpat import (
-    PATTERN_23_1,
-    PATTERN_3_12,
     BadInputError,
     BivariateSeries,
     CountTable,
@@ -28,7 +26,7 @@ from splitpat import (
 from splitpat.cli import main
 from splitpat.counting import SearchLimitError
 from splitpat.verify import TARGETS, run_target
-from support import TABLE1, assert_valid_witness
+from support import PATTERNS, TABLE1, assert_valid_witness
 
 GOLDEN = Path(__file__).parent / "golden"
 NAMED_SERIES = (
@@ -107,6 +105,24 @@ class TestTable:
         _, first, _ = run(capsys, "table", "--n-max", "7")
         _, second, _ = run(capsys, "table", "--n-max", "7")
         assert first == second
+
+    def test_closed_stdout_is_not_a_fault(self):
+        # The table (about 460 KB) overfills the pipe, so the write meets
+        # the closed reader.  Stdout stays buffered as it is by default:
+        # under PYTHONUNBUFFERED a raw partial write is dropped silently.
+        src = str(Path(splitpat.cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        env.pop("PYTHONUNBUFFERED", None)
+        with subprocess.Popen(
+            [sys.executable, "-m", "splitpat.cli", "table", "--n-max", "100"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        ) as proc:
+            assert proc.stdout.read(6) == b"r,n,k\n"
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert (proc.wait(timeout=60), err) == (1, b"")
 
 
 class TestCount:
@@ -298,7 +314,7 @@ class TestCheckFromStdin:
             data = json.loads(out)
             assert data["avoids"] is data["fiber_bundle"] is (expected == 0)
             witnesses = [data["witness_3_12"], data["witness_23_1"]]
-            for pattern, indices in zip((PATTERN_3_12, PATTERN_23_1), witnesses):
+            for pattern, indices in zip(PATTERNS, witnesses):
                 if indices is not None:
                     assert_valid_witness(w, pattern, r, tuple(indices))
 

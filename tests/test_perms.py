@@ -4,10 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from splitpat import (
-    PATTERN_23_1,
-    PATTERN_3_12,
+    BadInputError,
     Permutation,
-    SplitPattern,
     contains_split,
     format_permutation,
     is_avoider,
@@ -16,7 +14,7 @@ from splitpat import (
     rotate180,
     split_witnesses,
 )
-from support import assert_valid_witness, oracle_contains, oracle_witnesses
+from support import PATTERN_3_12, PATTERNS, assert_valid_witness, oracle_contains, oracle_witnesses
 
 
 @st.composite
@@ -108,52 +106,30 @@ class TestTextFormat:
             parse_permutation(text)
 
 
-class TestSplitPattern:
-    def test_builtins(self):
-        assert PATTERN_3_12.pattern.values == (3, 1, 2)
-        assert PATTERN_3_12.split == 1
-        assert PATTERN_23_1.pattern.values == (2, 3, 1)
-        assert PATTERN_23_1.split == 2
-        assert str(PATTERN_3_12) == "3|12"
-        assert str(PATTERN_23_1) == "23|1"
-
-    def test_split_bounds(self):
-        with pytest.raises(ValueError):
-            SplitPattern(Permutation((1, 2)), 3)
-        with pytest.raises(ValueError):
-            SplitPattern(Permutation((1, 2)), -1)
-        with pytest.raises(ValueError):
-            SplitPattern(Permutation((1, 2)), True)
-        with pytest.raises(ValueError):
-            SplitPattern(Permutation((1, 2)), 1.0)
-
-
 class TestContainsSplit:
     def test_paper_example_witness(self):
         w = parse_permutation("315642")
-        witness = contains_split(w, PATTERN_23_1, 3)
+        witness = contains_split(w, 3)[1]
         assert witness == (1, 3, 6)
         assert [w.w(i) for i in witness] == [3, 5, 2]
 
     def test_paper_example_avoids_3_12(self):
         w = parse_permutation("315642")
-        assert contains_split(w, PATTERN_3_12, 3) is None
+        assert contains_split(w, 3)[0] is None
 
     def test_r_zero_and_r_n_are_vacuous(self):
         for w in all_perms(4):
-            assert contains_split(w, PATTERN_3_12, 0) is None
-            assert contains_split(w, PATTERN_23_1, w.n) is None
+            assert contains_split(w, 0) == contains_split(w, w.n) == (None, None)
 
     def test_position_out_of_range(self):
         w = parse_permutation("312")
-        with pytest.raises(ValueError):
-            contains_split(w, PATTERN_3_12, 4)
-        with pytest.raises(ValueError):
-            contains_split(w, PATTERN_3_12, -1)
-        # Bools and floats compare equal to ints but are not positions.
-        with pytest.raises(ValueError):
-            contains_split(w, PATTERN_23_1, True)
-        for check in (is_avoider, split_witnesses):
+        for check in (contains_split, split_witnesses, is_avoider):
+            with pytest.raises(BadInputError) as refused:
+                check(w, 4)
+            assert refused.value.argument == "r"
+            with pytest.raises(ValueError):
+                check(w, -1)
+            # Bools and floats compare equal to ints but are not positions.
             with pytest.raises(ValueError):
                 check(w, 1.5)
             with pytest.raises(ValueError):
@@ -163,59 +139,26 @@ class TestContainsSplit:
 
     def test_312_has_unique_witness(self):
         w = parse_permutation("312")
-        witness = contains_split(w, PATTERN_3_12, 1)
-        assert witness == (1, 2, 3)
+        assert contains_split(w, 1) == ((1, 2, 3), None)
         assert oracle_witnesses(w, PATTERN_3_12, 1) == [(1, 2, 3)]
-
-    def test_degenerate_split_zero(self):
-        # Pattern entirely right of r: 21 with split 0 needs a descent after r.
-        p = SplitPattern(Permutation((2, 1)), 0)
-        w = parse_permutation("1234")
-        assert contains_split(w, p, 0) is None
-        w = parse_permutation("1243")
-        assert contains_split(w, p, 2) == (3, 4)
-        assert contains_split(w, p, 3) is None  # only position 4 remains
-
-    def test_degenerate_split_full(self):
-        # Pattern entirely at or left of r.
-        p = SplitPattern(Permutation((2, 1)), 2)
-        w = parse_permutation("2134")
-        assert contains_split(w, p, 1) is None
-        assert contains_split(w, p, 2) == (1, 2)
 
     def test_agrees_with_subset_oracle_exhaustive(self):
         for n in range(6):
             for w in all_perms(n):
                 for r in range(n + 1):
-                    for pattern in (PATTERN_3_12, PATTERN_23_1):
-                        got = contains_split(w, pattern, r)
+                    for pattern, got in zip(PATTERNS, contains_split(w, r)):
                         assert (got is not None) == oracle_contains(w, pattern, r)
 
     @given(perm_and_position())
     def test_witnesses_are_valid_and_lex_smallest(self, wr):
         w, r = wr
-        for pattern in (PATTERN_3_12, PATTERN_23_1):
-            witness = contains_split(w, pattern, r)
+        for pattern, witness in zip(PATTERNS, contains_split(w, r)):
             expected = oracle_witnesses(w, pattern, r)
             if witness is None:
                 assert not expected
             else:
                 assert_valid_witness(w, pattern, r, witness)
                 assert witness == expected[0]
-
-    @given(perm_and_position(max_n=7), st.integers(0, 4), st.data())
-    def test_general_patterns_match_oracle(self, wr, k, data):
-        w, r = wr
-        pattern_vals = tuple(data.draw(st.permutations(tuple(range(1, k + 1)))))
-        split = data.draw(st.integers(0, k))
-        pattern = SplitPattern(Permutation(pattern_vals), split)
-        got = contains_split(w, pattern, r)
-        expected = oracle_witnesses(w, pattern, r)
-        if got is None:
-            assert not expected
-        else:
-            assert_valid_witness(w, pattern, r, got)
-            assert got == expected[0]
 
 
 class TestAvoiderPredicate:
@@ -225,23 +168,15 @@ class TestAvoiderPredicate:
         assert not is_avoider(parse_permutation("312"), 1)
 
     def test_matches_contains_split_definition_exhaustive(self):
-        for n in range(7):
+        for n in range(8):
             for w in all_perms(n):
                 for r in range(n + 1):
-                    expected = (
-                        contains_split(w, PATTERN_3_12, r) is None
-                        and contains_split(w, PATTERN_23_1, r) is None
-                    )
-                    assert is_avoider(w, r) == expected
+                    assert is_avoider(w, r) == (contains_split(w, r) == (None, None))
 
     @given(long_perm_and_position())
     def test_matches_contains_split_beyond_exhaustive_range(self, wr):
         w, r = wr
-        expected = (
-            contains_split(w, PATTERN_3_12, r) is None
-            and contains_split(w, PATTERN_23_1, r) is None
-        )
-        assert is_avoider(w, r) == expected
+        assert is_avoider(w, r) == (contains_split(w, r) == (None, None))
 
     def test_avoidance_universal_at_ends(self):
         for n in range(8):
@@ -255,8 +190,8 @@ class TestSplitWitnesses:
 
     @staticmethod
     def searched(w, r):
-        found = contains_split(w, PATTERN_3_12, r), contains_split(w, PATTERN_23_1, r)
-        for pattern, witness in zip((PATTERN_3_12, PATTERN_23_1), found):
+        found = contains_split(w, r)
+        for pattern, witness in zip(PATTERNS, found):
             if witness is not None:
                 assert_valid_witness(w, pattern, r, witness)
         return found
