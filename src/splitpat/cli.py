@@ -23,7 +23,7 @@ from math import inf
 from .counting import (
     DEFAULT_SEARCH_LIMIT,
     SearchLimitError,
-    avoider_count,
+    _count_column,
     avoider_count_by_peeling,
     brute_count,
     build_count_table,
@@ -72,13 +72,31 @@ def _decimal(value: int) -> str:
     return _decimal(high) + _decimal(low).zfill(k)
 
 
+def _write_all(text: str) -> None:
+    """Write ASCII text to stdout in full, or raise ``BrokenPipeError``.
+
+    Under PYTHONUNBUFFERED the text layer writes straight through and drops
+    the count of a partial raw write, so a reader that leaves mid-write
+    would go unnoticed; the bytes go to the binary layer until all are
+    taken.  A stream with no binary layer (``io.StringIO``) takes them whole.
+    """
+    binary = getattr(sys.stdout, "buffer", None)
+    if binary is None:
+        sys.stdout.write(text)
+        return
+    sys.stdout.flush()
+    data = memoryview(text.encode("ascii"))
+    while data:
+        data = data[binary.write(data) :]
+
+
 def cmd_table(args: argparse.Namespace) -> int:
     _check_int("n_max", args.n_max, 1, 100)
     if args.r_max is not None:  # refused before building the table, the slow step
         _check_int("r_max", args.r_max, 0, inf)
     table = build_count_table(args.n_max)
     if args.format == "csv":
-        sys.stdout.write(table.to_csv(r_max=args.r_max))
+        _write_all(table.to_csv(r_max=args.r_max))
     else:
         print(table.to_json(r_max=args.r_max))
     return 0
@@ -86,7 +104,10 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 def cmd_count(args: argparse.Namespace) -> int:
     if args.method == "formula":
-        value = avoider_count(args.r, args.n)
+        _check_int("n", args.n, 0, inf)
+        _check_int("r", args.r, 0, args.n)
+        for value in _count_column(args.n - args.r, args.r):  # keeps the last
+            pass
     elif args.method == "corollary":
         value = avoider_count_by_peeling(args.r, args.n)
     else:

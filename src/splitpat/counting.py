@@ -3,10 +3,14 @@
 Counts come from three independent routes: a brute-force oracle that
 sweeps the orderings of each block of every split of the values, a
 closed-form double sum, and a peeling recurrence that repeatedly removes the
-maximal value.  Every grid of counts, the count table included, is read off
-the closed form's own Horner fold, one pass per column of fixed n - r; the
-integer form of the excess recursion is only checked against it, and
-``check_excess_recursion`` lists the cells where the two disagree.  All
+maximal value.  The ``count`` command and every grid of counts, the count
+table included, read the columns of ``_count_column``: the closed form's
+inner sum stepped by Kummer's contiguous relation, O(1) big-by-small
+products per count, so a column of fixed n - r costs O(n) and the
+[0, order]^2 grid O(order^2).  ``avoider_count`` stays the literal double
+sum they are checked against; the integer form of the excess recursion is
+only checked against the grid, and ``check_excess_recursion`` lists the
+cells where the two disagree.  All
 arithmetic is arbitrary-precision integer or rational, with binomials and
 falling factorials from ``math.comb`` and ``math.perm``; nothing here
 touches floating point, so every table entry is bit-exact no matter how
@@ -74,37 +78,55 @@ def avoider_count(r: int, n: int) -> int:
     Equals r!(n-r)! plus the double sum over 1 <= i <= r, 1 <= j <= n-r of
     C(n-i-j, r-i) (r)_{i-1} (n-r)_{j-1}; the value for (0, 0) is 1 (the
     empty permutation).  Both sums are folded by Horner's rule, so each
-    term costs a few products of a big integer by a small one.
+    term costs a few products of a big integer by a small one; this is the
+    literal double sum, the reference that ``_count_column`` is checked
+    against, and no count grid reads it.
 
     >>> avoider_count(2, 5)
     47
     """
     _check_int("n", n, 0, inf)
     _check_int("r", r, 0, n)
-    for count in _closed_form_counts(n - r, r):
-        pass
-    return count
-
-
-def _closed_form_counts(s: int, r_max: int) -> Iterator[int]:
-    """Yield ``avoider_count(r, r + s)`` for r = 0..r_max: the inner sums do
-    not depend on r, so the outer fold passes through every r' <= r_max."""
+    s = n - r
     floor, outer = factorial(s), 0  # floor = r! s!
-    yield floor + outer
-    for k in range(r_max):  # k = r - i, i from r down to 1
+    for k in range(r):  # k = r - i, i from r down to 1
         c, inner = 1, 0  # c = C(k + t, k) = C(n-i-j, r-i) with t = s - j
         for t in range(s):
             inner = c + (t + 1) * inner
             c = c * (k + t + 1) // (t + 1)
         outer = inner + (k + 1) * outer
         floor *= k + 1
-        yield floor + outer
+    return floor + outer
+
+
+def _count_column(s: int, r_max: int) -> Iterator[int]:
+    """Yield ``avoider_count(r, r + s)`` for r = 0..r_max, holding O(1) big
+    ints.  With c = r-i+1 and d = s-j+1 the count is r! s! plus the sum over
+    c <= r of g(c) r!/c!, where g(c) = sum_{d=1..s} C(c+d-2, c-1) s!/d!
+    for c >= 1 and g(0) = s!; the outer sum folds as T = c T + g(c)."""
+    # sum_d C(c+d-2, c-1) y^d/d! = y M(c, 2, y), Kummer's function; its
+    # contiguous relation (DLMF 13.3.1) at b = 2, times y/(1-y), read at
+    # [y^s] s! gives c g(c+1) = (2c-1) g(c) + (2-c) g(c-1) - b(c), with
+    # b(c) = C(c+s-2, s-1) and an exact division.  At s = 0 the true g(0)
+    # and b(1) are both 0; taking both as 1 leaves the step unchanged.
+    g_prev, g = 1, 0  # g(0) = s!, g(1) = sum_{d=1..s} s!/d!, by Horner
+    for d in range(1, s + 1):
+        g_prev *= d
+        g = d * g + 1
+    floor, total, b = g_prev, 0, 1  # floor = r! s!, b = b(c)
+    yield floor
+    for c in range(1, r_max + 1):
+        total = c * total + g
+        floor *= c
+        yield floor + total
+        g_prev, g = g, ((2 * c - 1) * g + (2 - c) * g_prev - b) // c
+        b = b * (c + s - 1) // c
 
 
 def _count_square(order: int) -> Iterator[tuple[int, ...]]:
     """Rows ``(avoider_count(r, r + s) for s in 0..order)`` for r = 0..order,
-    read off one closed-form column per s."""
-    return zip(*(_closed_form_counts(s, order) for s in range(order + 1)))
+    read off one ``_count_column`` per s, O(order^2) steps in all."""
+    return zip(*(_count_column(s, order) for s in range(order + 1)))
 
 
 def max_left_avoider_count(r: int, n: int) -> int:
@@ -308,12 +330,12 @@ class CountTable(_Record):
 
 
 def build_count_table(n_max: int) -> CountTable:
-    """Counts for all 0 <= r <= n <= n_max, one closed-form column per n - r.
+    """Counts for all 0 <= r <= n <= n_max, one ``_count_column`` per n - r.
 
     The integer excess recursion is the independent check on these values;
     the tests compare the two on every cell with n <= 100.
     """
     _check_int("n_max", n_max, 1, inf)
-    columns = (_closed_form_counts(s, n_max - s) for s in range(n_max + 1))
+    columns = (_count_column(s, n_max - s) for s in range(n_max + 1))
     entries = {(r, r + s): k for s, column in enumerate(columns) for r, k in enumerate(column)}
     return CountTable(entries)

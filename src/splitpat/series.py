@@ -259,7 +259,7 @@ def integrated_binomial_egf(order: int) -> BivariateSeries:
 def count_egf(order: int) -> BivariateSeries:
     """Bivariate EGF of the avoidance counts: coefficient
     avoider_count(r, r+s) / (r! s!), so the cell is the count itself, read
-    off the closed form one column per s (``counting._count_square``)."""
+    off one contiguous-relation column per s (``counting._count_square``)."""
     return BivariateSeries(tuple(_count_square(order)))
 
 

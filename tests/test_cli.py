@@ -108,21 +108,21 @@ class TestTable:
 
     def test_closed_stdout_is_not_a_fault(self):
         # The table (about 460 KB) overfills the pipe, so the write meets
-        # the closed reader.  Stdout stays buffered as it is by default:
-        # under PYTHONUNBUFFERED a raw partial write is dropped silently.
+        # the closed reader, with stdout buffered and unbuffered alike:
+        # unbuffered, the text layer would drop a partial raw write.
         src = str(Path(splitpat.cli.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": src}
-        env.pop("PYTHONUNBUFFERED", None)
-        with subprocess.Popen(
-            [sys.executable, "-m", "splitpat.cli", "table", "--n-max", "100"],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            env=env,
-        ) as proc:
-            assert proc.stdout.read(6) == b"r,n,k\n"
-            proc.stdout.close()
-            err = proc.stderr.read()
-            assert (proc.wait(timeout=60), err) == (1, b"")
+        base = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        for unbuffered in ({}, {"PYTHONUNBUFFERED": "1"}):
+            with subprocess.Popen(
+                [sys.executable, "-m", "splitpat.cli", "table", "--n-max", "100"],
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                env={**base, "PYTHONPATH": src, **unbuffered},
+            ) as proc:
+                assert proc.stdout.read(6) == b"r,n,k\n"
+                proc.stdout.close()
+                err = proc.stderr.read()
+                assert (proc.wait(timeout=60), err) == (1, b""), unbuffered
 
 
 class TestCount:
@@ -181,7 +181,7 @@ class TestCount:
         for start in range(0, len(digits), 100):
             chunk = digits[start : start + 100]
             value = value * 10 ** len(chunk) + int(chunk)
-        monkeypatch.setattr(splitpat.cli, "avoider_count", lambda r, n: value)
+        monkeypatch.setattr(splitpat.cli, "_count_column", lambda s, r_max: iter([value]))
         cap = getattr(sys, "get_int_max_str_digits", lambda: None)()
         code, out, err = run(capsys, "count", "--r", "1", "--n", "2")
         assert (code, err) == (0, "")
@@ -677,10 +677,10 @@ class TestUsage:
     def test_internal_value_error_is_not_a_usage_error(self, monkeypatch):
         # Exit 2 means bad input only; a fault inside the library must
         # surface, not read as a usage message.
-        def broken(r, n):
+        def broken(s, r_max):
             raise ValueError("internal fault")
 
-        monkeypatch.setattr(splitpat.cli, "avoider_count", broken)
+        monkeypatch.setattr(splitpat.cli, "_count_column", broken)
         with pytest.raises(ValueError, match="internal fault"):
             main(["count", "--r", "1", "--n", "2"])
 

@@ -58,11 +58,31 @@ class TestClosedForm:
                 assert avoider_count(r, n) == closed_form_double_sum(r, n), (r, n)
 
     def test_every_prefix_of_a_column_is_a_count(self):
-        # avoider_count keeps only a column's last value; every earlier one
-        # is a count too, here up to r + s = 60.
+        # count --method formula keeps only a column's last value; every
+        # earlier one is a count too, here up to r + s = 60.
         for s in range(31):
-            column = list(splitpat.counting._closed_form_counts(s, 30))
+            column = list(splitpat.counting._count_column(s, 30))
             assert column == [closed_form_double_sum(r, r + s) for r in range(31)], s
+
+    def test_column_matches_the_double_sum_up_to_60(self):
+        for s in range(61):
+            column = list(splitpat.counting._count_column(s, 60))
+            assert column == [avoider_count(r, r + s) for r in range(61)], s
+
+    def test_boundary_columns(self):
+        # s = 0 is the column where the contiguous relation's true g(0) and
+        # b(1) are 0; s = 1 is the published row of n - r = 1.
+        assert list(splitpat.counting._count_column(0, 30)) == [factorial(r) for r in range(31)]
+        ones = [k for (r, n), k in sorted(TABLE1.items()) if n - r == 1]
+        assert list(splitpat.counting._count_column(1, len(ones) - 1)) == ones
+        assert list(splitpat.counting._count_column(5, 0)) == [120]
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(0, 700).flatmap(lambda n: st.tuples(st.integers(0, n), st.just(n))))
+    def test_last_value_of_a_column_is_the_double_sum(self, cell):
+        r, n = cell
+        *_, last = splitpat.counting._count_column(n - r, r)
+        assert last == avoider_count(r, n)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -199,7 +219,7 @@ class TestBruteForce:
             "avoider_count",
             "avoider_count_by_peeling",
             "max_left_avoider_count",
-            "_closed_form_counts",
+            "_count_column",
             "_count_square",
             "comb",
             "factorial",
@@ -315,16 +335,19 @@ class TestExcessRecursion:
         assert normalized_excess(1, 1) == 0 + 0 - 0 + Fraction(comb(0, 0), 1)
 
     def test_integer_form_flags_the_rational_violations(self, monkeypatch):
-        # Corrupt one count where both sides read it, in the closed form's
-        # columns; the integer recursion must fail at exactly the cells where
-        # the rational recursion on the normalized excess fails.
-        exact = splitpat.counting._closed_form_counts
+        # Corrupt one count alike where each side reads it: the integer side
+        # in the count columns, the rational side through avoider_count.  The
+        # integer recursion must fail at exactly the cells where the rational
+        # recursion on the normalized excess fails.
+        exact = splitpat.counting._count_column
+        single = splitpat.counting.avoider_count
 
         def corrupted(s, r_max):
             for r, k in enumerate(exact(s, r_max)):
                 yield k + ((r, s) == (2, 3))
 
-        monkeypatch.setattr(splitpat.counting, "_closed_form_counts", corrupted)
+        monkeypatch.setattr(splitpat.counting, "_count_column", corrupted)
+        monkeypatch.setattr(splitpat.counting, "avoider_count", lambda r, n: single(r, n) + ((r, n - r) == (2, 3)))
         rational = [
             (r, s)
             for r in range(1, 5)

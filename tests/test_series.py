@@ -407,13 +407,13 @@ class TestScaledCells:
     def test_main2_compares_with_the_closed_form(self, monkeypatch):
         # A wrong closed form at one cell must fail count and excess: those
         # checks do not read the counts off the recursion they check.
-        real = splitpat.counting._closed_form_counts
+        real = splitpat.counting._count_column
 
         def corrupted(s, r_max):
             for r, k in enumerate(real(s, r_max)):
                 yield k + ((r, s) == (2, 3))
 
-        monkeypatch.setattr(splitpat.counting, "_closed_form_counts", corrupted)
+        monkeypatch.setattr(splitpat.counting, "_count_column", corrupted)
         checks, _ = main2_checks(6)
         assert {c.key for c in checks if not c.passed} == {"count", "excess"}
         assert "first mismatch at (2,3)" in {c.key: c.detail for c in checks}["count"]
