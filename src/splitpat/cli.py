@@ -18,18 +18,20 @@ import argparse
 import json
 import os
 import sys
+from itertools import islice
 from math import inf
 
 from .counting import (
     DEFAULT_SEARCH_LIMIT,
     SearchLimitError,
+    _avoider_tuples,
+    _check_limit,
     _count_column,
     avoider_count_by_peeling,
     brute_count,
     build_count_table,
-    enumerate_avoiders,
 )
-from .perms import BadInputError, _check_int, parse_permutation, split_witnesses
+from .perms import BadInputError, _check_int, _format_values, parse_permutation, split_witnesses
 from .verify import TARGETS, run_target
 
 
@@ -146,12 +148,21 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    members = enumerate_avoiders(args.r, args.n, limit=args.unsafe_n_max)
+    _check_int("n", args.n, 0, inf)
+    _check_int("r", args.r, 0, args.n)
+    _check_limit(args.n, args.unsafe_n_max)
+    members = map(_format_values, _avoider_tuples(args.r, args.n))
     if args.format == "lines":
-        for w in members:
-            print(w)
-    else:
-        print(json.dumps([str(w) for w in members]))
+        lead, sep, close = "", "\n", "\n"
+    else:  # json.dumps of the list: digits and commas need no escapes
+        members = map('"{}"'.format, members)
+        lead, sep, close = "[", ", ", "]\n"
+    # Written in chunks, so at most a chunk of the class is held as text.
+    # The class is never empty: the identity avoids both patterns.
+    while chunk := list(islice(members, 4096)):
+        _write_all(lead + sep.join(chunk))
+        lead = sep
+    _write_all(close)
     return 0
 
 

@@ -15,15 +15,21 @@ arithmetic is arbitrary-precision integer or rational, with binomials and
 falling factorials from ``math.comb`` and ``math.perm``; nothing here
 touches floating point, so every table entry is bit-exact no matter how
 large.
+
+The classes themselves are listed by ``_avoider_tuples``, which builds each
+member from its two blocks by the oracle's characterization instead of
+filtering S_n, so its cost follows the class size, not n!.
 """
 
 from __future__ import annotations
 
 import json
 from collections.abc import Callable, Iterator
-from itertools import combinations, permutations
+from itertools import combinations, permutations, repeat
 from math import comb, factorial, inf, perm
 
+# Nothing here calls _avoids; the name stays bound because the benchmark's
+# tracer (perfbench/spans.py) replaces counting._avoids to count its calls.
 from .perms import Permutation, _Record, _avoids, _check_int
 
 __all__ = [
@@ -42,9 +48,9 @@ __all__ = [
 ]
 
 # Sweeping 10! orderings, each tested in linear time, is the practical
-# ceiling for a desk machine: ``enumerate_avoiders`` sweeps all of S_n, and
-# ``brute_count`` sweeps about n! orderings at r <= 1 and r >= n-1.  Larger
-# sizes must be requested explicitly.
+# ceiling for a desk machine: ``brute_count`` sweeps about n! orderings at
+# r <= 1 and r >= n-1, and ``enumerate_avoiders`` lists up to 986,410
+# members at n = 10.  Larger sizes must be requested explicitly.
 DEFAULT_SEARCH_LIMIT = 10
 
 
@@ -170,15 +176,64 @@ def enumerate_avoiders(
     r: int, n: int, limit: int = DEFAULT_SEARCH_LIMIT
 ) -> list[Permutation]:
     """All avoiders in S_n with respect to position r, in lexicographic
-    one-line order.  Refuses n > limit."""
+    one-line order, built block by block by ``_avoider_tuples``.  Refuses
+    n > limit."""
     _check_int("n", n, 0, inf)
     _check_int("r", r, 0, n)
     _check_limit(n, limit)
-    return [
-        Permutation(vals)
-        for vals in permutations(range(1, n + 1))
-        if _avoids(vals, r)
-    ]
+    return [Permutation(vals) for vals in _avoider_tuples(r, n)]
+
+
+def _avoider_tuples(r: int, n: int) -> Iterator[tuple[int, ...]]:
+    """Yield the avoiders in S_n at position r as tuples, in lexicographic
+    one-line order, built from their blocks with no pass over S_n.
+
+    By the characterization in ``brute_count``, the members whose left block
+    holds the set S are every left block of S followed by every right block
+    of S, so each member is built once.  Left blocks of different sets hold
+    different values and all have length r, so merging each set's sorted
+    left blocks, and following each with its set's sorted right blocks,
+    gives lexicographic order; memory follows the blocks, not the members.
+    """
+    from heapq import merge  # on use: no other command needs it
+
+    values = range(1, n + 1)
+    if r in (0, n):  # no pattern fits: every ordering avoids both
+        yield from permutations(values)
+        return
+    heads, tails = [], []
+    for k, left in enumerate(combinations(values, r)):
+        right = tuple(v for v in values if v not in left)
+        # right[0] is min(T) and left[-1] is max(S): both blocks are sorted.
+        heads.append(zip(_chain_orderings(left, right[0].__lt__), repeat(k)))
+        tails.append(_chain_orderings(right, left[-1].__gt__))
+    for head, k in merge(*heads):
+        for tail in tails[k]:
+            yield head + tail
+
+
+def _chain_orderings(block: tuple[int, ...], keep: Callable[[int], bool]) -> list[tuple[int, ...]]:
+    """The orderings of ``block``, a sorted tuple, in which the values
+    passing ``keep`` decrease, in lexicographic order.  That decreasing chain
+    sits at each of its C(m, c) slot sets, and the free values fill the
+    other slots in every order."""
+    chain = sorted(filter(keep, block), reverse=True)
+    if len(chain) < 2:  # no ordering can fail; those of a sorted block come sorted
+        return list(permutations(block))
+    free = [v for v in block if not keep(v)]
+    m = len(block)
+    orderings = []
+    for slots in combinations(range(m), len(chain)):
+        row = [0] * m
+        for p, v in zip(slots, chain):
+            row[p] = v
+        others = [p for p in range(m) if p not in slots]
+        for order in permutations(free):
+            for p, v in zip(others, order):
+                row[p] = v
+            orderings.append(tuple(row))
+    orderings.sort()
+    return orderings
 
 
 def _decreasing_orderings(block: tuple[int, ...], keep: Callable[[int], bool]) -> int:

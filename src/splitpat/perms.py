@@ -141,9 +141,12 @@ def parse_permutation(text: str) -> Permutation:
 
 def format_permutation(w: Permutation) -> str:
     """Compact digit string for n <= 9, comma-separated list otherwise."""
-    if w.n <= 9:
-        return "".join(str(v) for v in w.values)
-    return ",".join(str(v) for v in w.values)
+    return _format_values(w.values)
+
+
+def _format_values(vals: tuple[int, ...]) -> str:
+    """``format_permutation`` on a raw tuple."""
+    return ("" if len(vals) <= 9 else ",").join(map(str, vals))
 
 
 def _check_int(name: str, value: int, lo: int, hi: int) -> None:
@@ -254,8 +257,8 @@ def _witness_23_1(vals: tuple[int, ...], r: int) -> tuple[int, ...] | None:
 
 
 def _avoids(vals: tuple[int, ...], r: int) -> bool:
-    """Raw-tuple avoidance test behind ``is_avoider`` and the full S_n sweeps
-    of ``enumerate_avoiders`` and ``verify.structure_checks``.
+    """Raw-tuple avoidance test behind ``is_avoider`` and the full S_n sweep
+    of ``verify.structure_checks``.
 
     w contains 3|12 at r iff two right-block values below max(left block)
     ascend, and contains 23|1 at r iff two left-block values above

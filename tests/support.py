@@ -2,13 +2,17 @@
 
 The oracles here deliberately re-derive everything from first principles
 (index-subset enumeration, pairwise order comparison) so they share no code
-path with the library's own scans.
+path with the library's own scans.  The one exception is ``filtered_class``,
+the S_n filter through the library's ``_avoids``, which shares no code with
+the class builder it checks.
 """
 
-from itertools import combinations
+from functools import cache
+from itertools import combinations, permutations
 from math import comb, factorial
 
 from splitpat import Permutation
+from splitpat.perms import _avoids
 
 # The published count table: (r, n) -> count, every printed cell.
 TABLE1 = {
@@ -36,6 +40,14 @@ def closed_form_double_sum(r: int, n: int) -> int:
                 * (factorial(n - r) // factorial(n - r - j + 1))
             )
     return total
+
+
+@cache
+def filtered_class(r: int, n: int) -> tuple[tuple[int, ...], ...]:
+    """The avoidance class at (r, n) as plain tuples in lexicographic order,
+    by testing every permutation of S_n with ``_avoids`` (itself tested
+    against the definition)."""
+    return tuple(w for w in permutations(range(1, n + 1)) if _avoids(w, r))
 
 
 # The two split patterns, each as (values, split): the pattern permutation

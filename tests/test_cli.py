@@ -26,7 +26,7 @@ from splitpat import (
 from splitpat.cli import main
 from splitpat.counting import SearchLimitError
 from splitpat.verify import TARGETS, run_target
-from support import PATTERNS, TABLE1, assert_valid_witness
+from support import PATTERNS, TABLE1, assert_valid_witness, filtered_class
 
 GOLDEN = Path(__file__).parent / "golden"
 NAMED_SERIES = (
@@ -56,6 +56,25 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def assert_closed_reader_exits_quietly(argv, head):
+    """Run the command, read ``head`` off its stdout and close the pipe: it
+    must exit 1 with nothing on stderr, with stdout buffered and unbuffered
+    alike (unbuffered, the text layer would drop a partial raw write)."""
+    src = str(Path(splitpat.cli.__file__).resolve().parents[1])
+    base = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    for unbuffered in ({}, {"PYTHONUNBUFFERED": "1"}):
+        with subprocess.Popen(
+            [sys.executable, "-m", "splitpat.cli", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env={**base, "PYTHONPATH": src, **unbuffered},
+        ) as proc:
+            assert proc.stdout.read(len(head)) == head
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert (proc.wait(timeout=60), err) == (1, b""), unbuffered
 
 
 class TestTable:
@@ -108,21 +127,8 @@ class TestTable:
 
     def test_closed_stdout_is_not_a_fault(self):
         # The table (about 460 KB) overfills the pipe, so the write meets
-        # the closed reader, with stdout buffered and unbuffered alike:
-        # unbuffered, the text layer would drop a partial raw write.
-        src = str(Path(splitpat.cli.__file__).resolve().parents[1])
-        base = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-        for unbuffered in ({}, {"PYTHONUNBUFFERED": "1"}):
-            with subprocess.Popen(
-                [sys.executable, "-m", "splitpat.cli", "table", "--n-max", "100"],
-                stdout=subprocess.PIPE,
-                stderr=subprocess.PIPE,
-                env={**base, "PYTHONPATH": src, **unbuffered},
-            ) as proc:
-                assert proc.stdout.read(6) == b"r,n,k\n"
-                proc.stdout.close()
-                err = proc.stderr.read()
-                assert (proc.wait(timeout=60), err) == (1, b""), unbuffered
+        # the closed reader.
+        assert_closed_reader_exits_quietly(("table", "--n-max", "100"), b"r,n,k\n")
 
 
 class TestCount:
@@ -386,9 +392,26 @@ class TestEnumerate:
         assert json.loads(out) == ["123", "132", "213", "231", "321"]
 
     def test_guard(self, capsys):
-        code, _, err = run(capsys, "enumerate", "--r", "0", "--n", "12")
-        assert code == 3
-        assert "guard" in err
+        code, out, err = run(capsys, "enumerate", "--r", "0", "--n", "12")
+        assert (code, out) == (3, "")
+        assert err == (
+            "splitpat: error: size 12 exceeds the exhaustive-search guard (10); "
+            "raise it with --unsafe-n-max to proceed\n"
+        )
+
+    def test_output_equals_the_full_sweep(self, capsys):
+        # Both formats, byte for byte, against the S_n filter's members.
+        for n in range(7):
+            for r in range(n + 1):
+                members = ["".join(map(str, w)) for w in filtered_class(r, n)]
+                args = ("enumerate", "--r", str(r), "--n", str(n))
+                assert run(capsys, *args) == (0, "".join(m + "\n" for m in members), ""), (r, n)
+                assert run(capsys, *args, "--format", "json") == (0, json.dumps(members) + "\n", ""), (r, n)
+
+    def test_closed_stdout_is_not_a_fault(self):
+        # The class at (5, 10) (about 800 KB) is written in chunks, and the
+        # closed reader meets one of them, as under ``| head -c 20``.
+        assert_closed_reader_exits_quietly(("enumerate", "--r", "5", "--n", "10"), b"1,2,3,4,5,6,7,8,9,10")
 
 
 class TestVerify:

@@ -23,7 +23,7 @@ from splitpat import (
     parse_permutation,
     partition_by_smallest_right,
 )
-from support import TABLE1, closed_form_double_sum
+from support import TABLE1, closed_form_double_sum, filtered_class
 
 
 class TestClosedForm:
@@ -204,11 +204,18 @@ class TestBruteForce:
                 assert brute_count(r, n) == avoider_count(r, n), (r, n)
 
     def test_block_product_equals_the_full_sweep(self):
-        # enumerate_avoiders tests every permutation of S_n with _avoids, a
+        # filtered_class tests every permutation of S_n with _avoids, a
         # different predicate from brute_count's per-block tests.
         for n in range(9):
             for r in range(n + 1):
-                assert brute_count(r, n) == len(enumerate_avoiders(r, n)), (r, n)
+                assert brute_count(r, n) == len(filtered_class(r, n)), (r, n)
+
+    def test_builder_equals_the_full_sweep_in_order(self):
+        # Member for member and in lexicographic order, against the S_n
+        # filter as the reference.
+        for n in range(9):
+            for r in range(n + 1):
+                assert tuple(splitpat.counting._avoider_tuples(r, n)) == filtered_class(r, n), (r, n)
 
     def test_oracle_needs_no_predicate_formula_or_factorial(self, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -216,6 +223,8 @@ class TestBruteForce:
 
         for name in (
             "_avoids",
+            "_avoider_tuples",
+            "_chain_orderings",
             "avoider_count",
             "avoider_count_by_peeling",
             "max_left_avoider_count",
