@@ -1,7 +1,8 @@
 """Exact counting of the split-pattern avoidance classes.
 
 Counts come from three independent routes: a brute-force oracle that
-sweeps the orderings of each block of every split of the values, a
+counts the valid orderings of each block of every split of the values,
+rejecting each invalid one on its first bad prefix, a
 closed-form double sum, and a peeling recurrence that repeatedly removes the
 maximal value.  The ``count`` command and every grid of counts, the count
 table included, read the columns of ``_count_column``: the closed form's
@@ -48,8 +49,8 @@ __all__ = [
 ]
 
 # Sweeping 10! orderings, each tested in linear time, is the practical
-# ceiling for a desk machine: ``brute_count`` sweeps about n! orderings at
-# r <= 1 and r >= n-1, and ``enumerate_avoiders`` lists up to 986,410
+# ceiling for a desk machine: ``brute_count`` counts all n! orderings at
+# r = 0 and r = n, and ``enumerate_avoiders`` lists up to 986,410
 # members at n = 10.  Larger sizes must be requested explicitly.
 DEFAULT_SEARCH_LIMIT = 10
 
@@ -238,15 +239,31 @@ def _chain_orderings(block: tuple[int, ...], keep: Callable[[int], bool]) -> lis
 
 def _decreasing_orderings(block: tuple[int, ...], keep: Callable[[int], bool]) -> int:
     """Number of orderings of ``block`` in which the values passing ``keep``
-    appear in decreasing order, counted by testing every ordering."""
-    want = sorted(filter(keep, block), reverse=True)
-    orderings = permutations(block)
-    if len(want) < 2:  # no ordering can fail the test
-        return sum(1 for _ in orderings)
-    # Lists, not tuples: tuple() of a filter builds each result at a guessed
-    # size and shrinks it, so every result lands on a tuple free list that
-    # the next build never draws from, which holds about 1 MB at n = 8.
-    return sum(list(filter(keep, p)) == want for p in orderings)
+    appear in decreasing order.  The values are placed one at a time, and a
+    kept value larger than the last kept value placed is rejected on that
+    prefix, so no ordering below it is tried; every valid ordering is still
+    reached, one leaf at a time, and the leaves are counted."""
+    marked = tuple((v, keep(v)) for v in block)
+    if sum(kept for _, kept in marked) < 2:  # no ordering can fail the test
+        return sum(1 for _ in permutations(block))
+
+    def extend(rest: tuple[tuple[int, bool], ...], last: int) -> int:
+        # Orderings of rest whose kept values decrease and stay below last.
+        if len(rest) == 2:  # both orders of the last two, tested inline
+            (a, a_kept), (b, b_kept) = rest
+            after_a, after_b = (a if a_kept else last), (b if b_kept else last)
+            a_then_b = (not a_kept or a < last) and (not b_kept or b < after_a)
+            b_then_a = (not b_kept or b < last) and (not a_kept or a < after_b)
+            return a_then_b + b_then_a
+        total = 0
+        for i, (v, kept) in enumerate(rest):
+            if not kept:
+                total += extend(rest[:i] + rest[i + 1 :], last)
+            elif v < last:
+                total += extend(rest[:i] + rest[i + 1 :], v)
+        return total
+
+    return extend(marked, max(block) + 1)
 
 
 def brute_count(r: int, n: int, limit: int = DEFAULT_SEARCH_LIMIT) -> int:
@@ -257,7 +274,9 @@ def brute_count(r: int, n: int, limit: int = DEFAULT_SEARCH_LIMIT) -> int:
     values, with complement T, w avoids both patterns iff the values of S
     above min(T) decrease and, independently, the values of T below max(S)
     decrease; the members with left values S are the product of the two
-    counts, each found by testing every ordering of its block.
+    counts.  Each count places its block's values one at a time and rejects
+    a prefix as soon as it breaks that decrease, so it visits the valid
+    orderings and their prefixes, not all m! orderings of an m-value block.
 
     Independent oracle for ``avoider_count``: it uses the pattern
     definitions alone, never the avoidance predicate, a count formula or a

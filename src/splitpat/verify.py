@@ -86,8 +86,13 @@ def structure_checks(n_max: int, limit: int = DEFAULT_SEARCH_LIMIT) -> list[Chec
         max_left = [w for w in members if n in w[:r]]
         found = {
             "split": len(max_left) == max_left_avoider_count(r, n) and len(members) == avoider_count(r, n),
-            "rotate": {_rotate180(w) for w in members} == set(classes[(n - r, n)]),
         }
+        if r <= n - r:
+            # A bijection from (r, n) onto (n - r, n) by the involution
+            # _rotate180 is inverted by _rotate180 itself, so the pair's
+            # other direction needs no check of its own.
+            mirror = classes[(n - r, n)]
+            found["rotate"] = len(members) == len(mirror) and {_rotate180(w) for w in members} == set(mirror)
         if r < n:
             fibers = Counter(_remove_max(w) for w in members if n not in w[:r])
             found["fibers"] = fibers == {w: n - r for w in classes[(r, n - 1)]}

@@ -50,6 +50,14 @@ def filtered_class(r: int, n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(w for w in permutations(range(1, n + 1)) if _avoids(w, r))
 
 
+def swept_decreasing_orderings(block, keep) -> int:
+    """Number of orderings of ``block`` in which the values passing ``keep``
+    appear in decreasing order, counted by testing every ordering: the
+    reference for the oracle's prefix-rejecting block count."""
+    want = sorted(filter(keep, block), reverse=True)
+    return sum(list(filter(keep, p)) == want for p in permutations(block))
+
+
 # The two split patterns, each as (values, split): the pattern permutation
 # and how many of its positions lie at or before r.
 PATTERN_3_12 = ((3, 1, 2), 1)

@@ -219,6 +219,14 @@ PINNED_OUTPUT = {
     ("verify", "--target", "bessel", "--order", "26", "--format", "json"): "235f167daae0c8c2dcfa54ab44a93135e44cbeb90af4a0a3d171b89406a8eb37",
     ("verify", "--target", "symmetry", "--order", "20"): "541ff030dcf718745b16dd0e527a8739e5a933873fe4c184d1594d999b0d34b7",
     ("verify", "--target", "all", "--order", "12", "--n-max", "7", "--format", "json"): "e6763b9228bb45192475c74bc463410e64dcfcf6d3ea1e4e80122e8b96f41f9b",
+    # Captured before the oracle rejected orderings on their prefix and the
+    # structure suite checked rotation once per r, n - r pair.
+    ("verify", "--target", "oracle", "--n-max", "8"): "d133e36bd6c2b13c061e4804b64f7e9ef38d7843ed000af17c12618cf2665c14",
+    ("verify", "--target", "oracle", "--n-max", "8", "--format", "json"): "814a1b1a6c5859c4d3cfa16f8b8baa001c13fba77a612be01c2e0a121fff98d0",
+    ("verify", "--target", "fibers", "--n-max", "7"): "1953780419a75922016f67ae39322524b9e145819e29e9e4f6e45f786395a62c",
+    ("verify", "--target", "fibers", "--n-max", "7", "--format", "json"): "0e180310894b6fd4ff000908e359e5713b2bde84f3c9f52e0598219ed89d5f26",
+    ("count", "--r", "1", "--n", "9", "--method", "brute"): "5329fd7878e9f817dc7514ac877d0edba0da5f179e1dec43e60b26c04c74b7d6",
+    ("count", "--r", "4", "--n", "9", "--method", "brute"): "c9395bb728441a60fbdb63c8db1c682bfca3b1aacab2d6c3d1f7a306e077ddc3",
 }
 
 
@@ -590,8 +598,33 @@ class TestVerify:
                     "rotate": "rotation image wrong at (r,n)=(2,5)",
                 },
             ),
+            (
+                # (1,2,3,5,4) sits in the class at (3,5), past n/2; dropping
+                # it leaves its rotation (2,1,3,4,5) at (2,5) without a
+                # preimage, and rotation is checked from the pair's smaller r.
+                "_avoids",
+                lambda original: lambda w, r: original(w, r) and (w, r) != ((1, 2, 3, 5, 4), 3),
+                {
+                    "split": "split sizes wrong at (r,n)=(3,5)",
+                    "fibers": "fiber sizes wrong at (r,n)=(3,5)",
+                    "peel-left": "max-left peel leaves the class at (r,n)=(4,6)",
+                    "rotate": "rotation image wrong at (r,n)=(2,5)",
+                },
+            ),
+            (
+                # At r = n/2 the class is its own rotation partner: (1,2,4,3)
+                # gone from (2,4) leaves (2,1,3,4) there with no preimage.
+                "_avoids",
+                lambda original: lambda w, r: original(w, r) and (w, r) != ((1, 2, 4, 3), 2),
+                {
+                    "split": "split sizes wrong at (r,n)=(2,4)",
+                    "fibers": "fiber sizes wrong at (r,n)=(2,4)",
+                    "peel-left": "max-left peel leaves the class at (r,n)=(3,5)",
+                    "rotate": "rotation image wrong at (r,n)=(2,4)",
+                },
+            ),
         ],
-        ids=["split", "rotate", "fibers-and-peel-left", "partition", "sweep"],
+        ids=["split", "rotate", "fibers-and-peel-left", "partition", "sweep", "sweep-above-half", "sweep-at-half"],
     )
     def test_structure_suite_names_the_first_failing_cell(
         self, monkeypatch, name, corrupt, failures

@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from itertools import combinations
 from math import comb, factorial, perm
 
 import pytest
@@ -23,7 +24,7 @@ from splitpat import (
     parse_permutation,
     partition_by_smallest_right,
 )
-from support import TABLE1, closed_form_double_sum, filtered_class
+from support import TABLE1, closed_form_double_sum, filtered_class, swept_decreasing_orderings
 
 
 class TestClosedForm:
@@ -209,6 +210,29 @@ class TestBruteForce:
         for n in range(9):
             for r in range(n + 1):
                 assert brute_count(r, n) == len(filtered_class(r, n)), (r, n)
+
+    def test_pruned_block_count_equals_the_full_sweep(self):
+        # Every left set S of every size up to 8, on both blocks, with the
+        # thresholds brute_count uses: min(T) on the left, max(S) on the right.
+        pruned = splitpat.counting._decreasing_orderings
+        for n in range(9):
+            values = range(1, n + 1)
+            for r in range(n + 1):
+                for left in combinations(values, r):
+                    right = tuple(v for v in values if v not in left)
+                    bottom, top = min(right, default=n + 1), max(left, default=0)
+                    for block, keep in ((left, bottom.__lt__), (right, top.__gt__)):
+                        assert pruned(block, keep) == swept_decreasing_orderings(block, keep), (block, keep)
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        st.lists(st.integers(1, 30), unique=True, max_size=9).map(tuple),
+        st.integers(0, 31),
+        st.booleans(),
+    )
+    def test_pruned_block_count_matches_the_full_sweep_on_random_blocks(self, block, threshold, above):
+        keep = threshold.__lt__ if above else threshold.__gt__
+        assert splitpat.counting._decreasing_orderings(block, keep) == swept_decreasing_orderings(block, keep)
 
     def test_builder_equals_the_full_sweep_in_order(self):
         # Member for member and in lexicographic order, against the S_n
