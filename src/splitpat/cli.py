@@ -31,7 +31,7 @@ from .counting import (
     brute_count,
     build_count_table,
 )
-from .perms import BadInputError, _check_int, _format_values, parse_permutation, split_witnesses
+from .perms import BadInputError, _check_int, _format_values, contains_split, parse_permutation
 from .verify import TARGETS, run_target
 
 
@@ -132,7 +132,7 @@ def _perm_text(perm: str) -> str:
 
 def cmd_check(args: argparse.Namespace) -> int:
     w = parse_permutation(_perm_text(args.perm))
-    witness_3_12, witness_23_1 = split_witnesses(w, args.r)
+    witness_3_12, witness_23_1 = contains_split(w, args.r)
     avoids = witness_3_12 is None and witness_23_1 is None
     print(
         json.dumps(

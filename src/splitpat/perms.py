@@ -3,7 +3,7 @@
 A permutation w contains 3|12 with respect to a position r when some
 positions i_1 <= r < i_2 < i_3 carry values w(i_2) < w(i_3) < w(i_1), and
 contains 23|1 when some positions i_1 < i_2 <= r < i_3 carry values
-w(i_3) < w(i_1) < w(i_2); ``contains_split`` transcribes this definition.
+w(i_3) < w(i_1) < w(i_2); ``tests/support.py`` transcribes this definition.
 The permutations avoiding both with respect to r form the classes counted
 in splitpat.counting; the same condition characterises when the projection
 of the associated Schubert variety to the rank-r Grassmannian is a fiber
@@ -16,7 +16,6 @@ the tuple of its positions, and the empty permutation (n = 0) is valid.
 from __future__ import annotations
 
 import reprlib
-from itertools import combinations
 from math import inf
 
 __all__ = [
@@ -25,7 +24,6 @@ __all__ = [
     "parse_permutation",
     "format_permutation",
     "contains_split",
-    "split_witnesses",
     "is_avoider",
     "remove_max",
     "rotate180",
@@ -156,47 +154,18 @@ def _check_int(name: str, value: int, lo: int, hi: int) -> None:
         raise BadInputError(f"{name} must be an int {allowed}, got {value!r}", name)
 
 
-# 3|12 and 23|1, each as (values, split): the pattern permutation and how
-# many of its positions lie at or before r.
-_PATTERNS = (((3, 1, 2), 1), ((2, 3, 1), 2))
-
-
 def contains_split(
-    w: Permutation, r: int
-) -> tuple[tuple[int, ...] | None, tuple[int, ...] | None]:
-    """The 3|12 and 23|1 witnesses of w with respect to r, by the definition.
-
-    Each entry is the lexicographically smallest tuple of positions that
-    carries the pattern as the module docstring defines it, or None when w
-    avoids that pattern.  This subset scan is the reference that the linear
-    scans ``split_witnesses`` and ``_avoids`` are tested against.
-
-    >>> contains_split(Permutation((3, 1, 5, 6, 4, 2)), 3)
-    (None, (1, 3, 6))
-    """
-    _check_int("r", r, 0, w.n)
-    return tuple(_first_occurrence(w.values, u, j, r) for u, j in _PATTERNS)
-
-
-def _first_occurrence(vals: tuple[int, ...], u: tuple[int, ...], j: int, r: int) -> tuple[int, ...] | None:
-    for left in combinations(range(r), j):
-        for right in combinations(range(r, len(vals)), 3 - j):
-            chosen = left + right
-            if all((u[a] < u[b]) == (vals[chosen[a]] < vals[chosen[b]]) for a, b in combinations(range(3), 2)):
-                return tuple(p + 1 for p in chosen)
-    return None
-
-
-def split_witnesses(
     w: Permutation, r: int
 ) -> tuple[tuple[int, ...] | None, tuple[int, ...] | None]:
     """The 3|12 and 23|1 witnesses of w with respect to r, in O(n).
 
-    Equal to ``contains_split(w, r)``, the definition: each entry is the
-    lexicographically smallest position tuple, or None.  Tested against it
-    exhaustively for small n and by a property test beyond.
+    Each entry is the lexicographically smallest tuple of positions that
+    carries the pattern as the module docstring defines it, or None when w
+    avoids that pattern.  Tested index for index against the tests'
+    subset scan of the definition, exhaustively for small n and by a
+    property test beyond.
 
-    >>> split_witnesses(parse_permutation("315642"), 3)
+    >>> contains_split(parse_permutation("315642"), 3)
     (None, (1, 3, 6))
     """
     _check_int("r", r, 0, w.n)
@@ -264,8 +233,8 @@ def _avoids(vals: tuple[int, ...], r: int) -> bool:
     ascend, and contains 23|1 at r iff two left-block values above
     min(right block) ascend.  So w avoids both iff each of those two
     subsequences is decreasing, which one pass over each block decides.
-    Must equal the definition, ``contains_split(w, r) == (None, None)``;
-    tested exhaustively for small n and by a property test beyond.
+    Must hold iff the subset scan in ``tests/support.py`` finds neither
+    pattern; tested exhaustively for small n and by a property test beyond.
     """
     n = len(vals)
     if not 0 < r < n:

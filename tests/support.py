@@ -75,23 +75,27 @@ def same_relative_order(window, pattern_vals):
 
 
 def oracle_witnesses(w: Permutation, pattern, r: int):
-    """All witnesses of the (values, split) pattern, in lexicographic index
-    order, by plain enumeration of index subsets."""
+    """Every witness of the (values, split) pattern, lazily, in lexicographic
+    index order, by plain enumeration of index subsets."""
     u, j = pattern
     k = len(u)
-    found = []
     for idx in combinations(range(1, w.n + 1), k):
         if j > 0 and idx[j - 1] > r:
             continue
         if j < k and idx[j] <= r:
             continue
         if same_relative_order([w.w(i) for i in idx], u):
-            found.append(idx)
-    return found
+            yield idx
+
+
+def oracle_first_witness(w: Permutation, pattern, r: int):
+    """The lexicographically smallest witness of the (values, split)
+    pattern, or None: the subset scan stops at its first match."""
+    return next(oracle_witnesses(w, pattern, r), None)
 
 
 def oracle_contains(w: Permutation, pattern, r: int) -> bool:
-    return bool(oracle_witnesses(w, pattern, r))
+    return oracle_first_witness(w, pattern, r) is not None
 
 
 def assert_valid_witness(w: Permutation, pattern, r: int, idx):

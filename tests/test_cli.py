@@ -200,9 +200,17 @@ class TestCount:
         assert len(out) == 4542 and out[:-1].isdigit() and out.endswith("\n")
 
 
+# check pins, each on a permutation of size 10^4 in comma form at r = 5000:
+# the decreasing one avoids both patterns, swapping its last two values
+# makes a 3|12 only, swapping its first two a 23|1 only; one seeded shuffle.
+_DOWN = list(range(10**4, 0, -1))
+_SHUFFLED = _DOWN[:]
+random.Random(22).shuffle(_SHUFFLED)
+
 # sha256 of stdout, captured before the counts were computed by Horner's
 # rule and the table by the integer recursion; the verify entries before
-# series cells were stored EGF-scaled.
+# series cells were stored EGF-scaled; the check entries before
+# contains_split became the linear witness scan.
 PINNED_OUTPUT = {
     ("table", "--n-max", "100"): "be27536949931d10eff8317a47f8f7630bc2d27b3acfb11733951cf01b63cfb8",
     ("table", "--n-max", "100", "--format", "json"): "8ba3df6adcebebd199af31bd78a3ce6e33383efba28c2acdbf1095bd15faf3cb",
@@ -227,13 +235,29 @@ PINNED_OUTPUT = {
     ("verify", "--target", "fibers", "--n-max", "7", "--format", "json"): "0e180310894b6fd4ff000908e359e5713b2bde84f3c9f52e0598219ed89d5f26",
     ("count", "--r", "1", "--n", "9", "--method", "brute"): "5329fd7878e9f817dc7514ac877d0edba0da5f179e1dec43e60b26c04c74b7d6",
     ("count", "--r", "4", "--n", "9", "--method", "brute"): "c9395bb728441a60fbdb63c8db1c682bfca3b1aacab2d6c3d1f7a306e077ddc3",
+    ("check", "--perm", "315642", "--r", "3"): "f5c8dfbfec366cd38ac1935ee027deb1745db13162730fc8a26bbbfac224f77d",
+    **{
+        ("check", "--perm", ",".join(map(str, vals)), "--r", "5000"): digest
+        for vals, digest in [
+            (_DOWN, "47ec921154d4e853c17910892b212ce0f3557f1ae10f7cae4edd133704badceb"),
+            (_DOWN[:-2] + _DOWN[:-3:-1], "c502cb572a9f46aeba2a24e5cde1a48b91804c8cab751fb30888dfc1fc51b6d1"),
+            (_DOWN[1::-1] + _DOWN[2:], "b72ffc4b81103e39246b3314a414e48b5da860d6f825a52a060fbc257646d722"),
+            (_SHUFFLED, "b68cc709e5c08a4746ff018aadc7ea572c48dfdc2ca40fefda627d205e458620"),
+        ]
+    },
 }
 
 
-@pytest.mark.parametrize("argv", list(PINNED_OUTPUT), ids=" ".join)
+def _argv_id(argv):
+    # A permutation of size 10^4 is named by its first and last values.
+    return " ".join(arg if len(arg) <= 40 else f"{arg[:15]}...{arg[-15:]}" for arg in argv)
+
+
+@pytest.mark.parametrize("argv", list(PINNED_OUTPUT), ids=_argv_id)
 def test_pinned_output_bytes(capsys, argv):
     code, out, _ = run(capsys, *argv)
-    assert code == 0
+    # check exits 1 exactly when it finds a pattern; every other pin exits 0.
+    assert code == (1 if argv[0] == "check" and not json.loads(out)["avoids"] else 0)
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_OUTPUT[argv]
 
 

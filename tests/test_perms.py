@@ -12,9 +12,15 @@ from splitpat import (
     parse_permutation,
     remove_max,
     rotate180,
-    split_witnesses,
 )
-from support import PATTERN_3_12, PATTERNS, assert_valid_witness, oracle_contains, oracle_witnesses
+from support import (
+    PATTERN_3_12,
+    PATTERNS,
+    assert_valid_witness,
+    oracle_contains,
+    oracle_first_witness,
+    oracle_witnesses,
+)
 
 
 @st.composite
@@ -123,7 +129,7 @@ class TestContainsSplit:
 
     def test_position_out_of_range(self):
         w = parse_permutation("312")
-        for check in (contains_split, split_witnesses, is_avoider):
+        for check in (contains_split, is_avoider):
             with pytest.raises(BadInputError) as refused:
                 check(w, 4)
             assert refused.value.argument == "r"
@@ -140,7 +146,7 @@ class TestContainsSplit:
     def test_312_has_unique_witness(self):
         w = parse_permutation("312")
         assert contains_split(w, 1) == ((1, 2, 3), None)
-        assert oracle_witnesses(w, PATTERN_3_12, 1) == [(1, 2, 3)]
+        assert list(oracle_witnesses(w, PATTERN_3_12, 1)) == [(1, 2, 3)]
 
     def test_agrees_with_subset_oracle_exhaustive(self):
         for n in range(6):
@@ -153,12 +159,16 @@ class TestContainsSplit:
     def test_witnesses_are_valid_and_lex_smallest(self, wr):
         w, r = wr
         for pattern, witness in zip(PATTERNS, contains_split(w, r)):
-            expected = oracle_witnesses(w, pattern, r)
+            expected = list(oracle_witnesses(w, pattern, r))
             if witness is None:
                 assert not expected
             else:
                 assert_valid_witness(w, pattern, r, witness)
                 assert witness == expected[0]
+
+
+def oracle_avoids(w, r):
+    return not any(oracle_contains(w, pattern, r) for pattern in PATTERNS)
 
 
 class TestAvoiderPredicate:
@@ -171,12 +181,12 @@ class TestAvoiderPredicate:
         for n in range(8):
             for w in all_perms(n):
                 for r in range(n + 1):
-                    assert is_avoider(w, r) == (contains_split(w, r) == (None, None))
+                    assert is_avoider(w, r) == oracle_avoids(w, r)
 
     @given(long_perm_and_position())
     def test_matches_contains_split_beyond_exhaustive_range(self, wr):
         w, r = wr
-        assert is_avoider(w, r) == (contains_split(w, r) == (None, None))
+        assert is_avoider(w, r) == oracle_avoids(w, r)
 
     def test_avoidance_universal_at_ends(self):
         for n in range(8):
@@ -186,26 +196,26 @@ class TestAvoiderPredicate:
 
 
 class TestSplitWitnesses:
-    """The linear scan must give contains_split's witness index for index."""
+    """contains_split, the linear scan, must give the subset oracle's first
+    witness of each pattern index for index."""
 
     @staticmethod
-    def searched(w, r):
+    def assert_equals_oracle(w, r):
         found = contains_split(w, r)
         for pattern, witness in zip(PATTERNS, found):
             if witness is not None:
                 assert_valid_witness(w, pattern, r, witness)
-        return found
+        assert found == tuple(oracle_first_witness(w, pattern, r) for pattern in PATTERNS), (w, r)
 
     def test_equals_contains_split_exhaustive(self):
         for n in range(8):
             for w in all_perms(n):
                 for r in range(n + 1):
-                    assert split_witnesses(w, r) == self.searched(w, r), (w, r)
+                    self.assert_equals_oracle(w, r)
 
     @given(long_perm_and_position())
     def test_equals_contains_split_beyond_exhaustive_range(self, wr):
-        w, r = wr
-        assert split_witnesses(w, r) == self.searched(w, r)
+        self.assert_equals_oracle(*wr)
 
 
 class TestStructuralMaps:
