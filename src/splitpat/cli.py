@@ -15,23 +15,21 @@ name.  Any other exception is a fault and propagates.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from itertools import islice
 from math import inf
 
 from .counting import (
     DEFAULT_SEARCH_LIMIT,
     SearchLimitError,
-    _avoider_tuples,
+    _avoider_blocks,
     _check_limit,
     _count_column,
     avoider_count_by_peeling,
     brute_count,
     build_count_table,
 )
-from .perms import BadInputError, _check_int, _format_values, contains_split, parse_permutation
+from .perms import BadInputError, _check_int, contains_split, parse_permutation
 from .verify import TARGETS, run_target
 
 
@@ -134,6 +132,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     w = parse_permutation(_perm_text(args.perm))
     witness_3_12, witness_23_1 = contains_split(w, args.r)
     avoids = witness_3_12 is None and witness_23_1 is None
+    import json  # on use: only check and the --format json output need it
     print(
         json.dumps(
             {
@@ -151,18 +150,28 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     _check_int("n", args.n, 0, inf)
     _check_int("r", args.r, 0, args.n)
     _check_limit(args.n, args.unsafe_n_max)
-    members = map(_format_values, _avoider_tuples(args.r, args.n))
     if args.format == "lines":
-        lead, sep, close = "", "\n", "\n"
+        quote, lead, sep, close = "", "", "\n", "\n"
     else:  # json.dumps of the list: digits and commas need no escapes
-        members = map('"{}"'.format, members)
-        lead, sep, close = "[", ", ", "]\n"
-    # Written in chunks, so at most a chunk of the class is held as text.
-    # The class is never empty: the identity avoids both patterns.
-    while chunk := list(islice(members, 4096)):
-        _write_all(lead + sep.join(chunk))
-        lead = sep
-    _write_all(close)
+        quote, lead, sep, close = '"', "[", ", ", "]\n"
+    comma = "," if args.n > 9 else ""  # the separator _format_values takes at size n
+    text = list(map(str, range(args.n + 1))).__getitem__  # each value's text, made once
+
+    # Each head's members are joined in one step, and written in chunks of
+    # about 64 KB.  The class is never empty: the identity avoids both patterns.
+    chunk, size = [], 0
+    for head, tails in _avoider_blocks(args.r, args.n):
+        if type(tails[0]) is tuple:  # the set's first head: its right blocks become text
+            for i, tail in enumerate(tails):  # in place, so no set is held twice; each leads with comma
+                tails[i] = comma.join(("", *map(text, tail))) + quote
+        head_text = quote + comma.join(map(text, head))
+        for i in range(0, len(tails), 4096):
+            chunk.append(head_text + (sep + head_text).join(tails[i : i + 4096]))
+            size += len(chunk[-1])
+            if size >= 1 << 16:
+                _write_all(lead + sep.join(chunk))
+                lead, chunk, size = sep, [], 0
+    _write_all((lead + sep.join(chunk) if chunk else "") + close)
     return 0
 
 
@@ -172,6 +181,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     )
     passed = sum(1 for c in checks if c.passed)
     if args.format == "json":
+        import json  # see cmd_check
         print(
             json.dumps(
                 {

@@ -17,16 +17,15 @@ falling factorials from ``math.comb`` and ``math.perm``; nothing here
 touches floating point, so every table entry is bit-exact no matter how
 large.
 
-The classes themselves are listed by ``_avoider_tuples``, which builds each
-member from its two blocks by the oracle's characterization instead of
-filtering S_n, so its cost follows the class size, not n!.  It holds every
-block of every set at once, which at r = 1 and r = n - 1 is the whole class
-(ROADMAP item 6).
+The classes themselves come as a stream of blocks from ``_avoider_blocks``,
+built by the oracle's characterization instead of filtering S_n, so its
+cost follows the class size, not n!; ``_avoider_tuples`` joins each
+member's two blocks and ``enumerate`` formats each block once.  It holds
+every block of every set at once (ROADMAP item 6).
 """
 
 from __future__ import annotations
 
-import json
 from collections.abc import Callable, Iterator
 from itertools import combinations, permutations, repeat
 from math import comb, factorial, inf, perm
@@ -188,8 +187,16 @@ def enumerate_avoiders(
 
 
 def _avoider_tuples(r: int, n: int) -> Iterator[tuple[int, ...]]:
-    """Yield the avoiders in S_n at position r as tuples, in lexicographic
-    one-line order, built from their blocks with no pass over S_n.
+    """The avoiders of ``_avoider_blocks`` as tuples, in lexicographic order."""
+    for head, tails in _avoider_blocks(r, n):
+        for tail in tails:
+            yield head + tail
+
+
+def _avoider_blocks(r: int, n: int) -> Iterator[tuple[tuple[int, ...], list[tuple[int, ...]]]]:
+    """The avoiders in S_n at position r as a stream of blocks, built with
+    no pass over S_n: each left block in lexicographic order, paired with
+    the sorted list of its set's right blocks, one list per set.
 
     By the characterization in ``brute_count``, the members whose left block
     holds the set S are every left block of S followed by every right block
@@ -198,23 +205,22 @@ def _avoider_tuples(r: int, n: int) -> Iterator[tuple[int, ...]]:
     left blocks, and following each with its set's sorted right blocks,
     gives lexicographic order.  Every block of every set is held until the
     end, so at r = 1 and r = n - 1 memory follows the class: 129 MB at
-    n = 10 (ROADMAP item 6).
+    n = 10 (ROADMAP item 6).  The lists are the stream's own: a consumer may
+    replace the blocks in them by their text, as ``cli`` does.
     """
     from heapq import merge  # on use: no other command needs it
 
     values = range(1, n + 1)
-    if r in (0, n):  # no pattern fits: every ordering avoids both
-        yield from permutations(values)
-        return
-    heads, tails = [], []
-    for k, left in enumerate(combinations(values, r)):
+    if r in (0, n):  # no pattern fits: each ordering is a block, then ()
+        return zip(permutations(values), repeat([()]))
+    blocks = []
+    for left in combinations(values, r):
         right = tuple(v for v in values if v not in left)
         # right[0] is min(T) and left[-1] is max(S): both blocks are sorted.
-        heads.append(zip(_chain_orderings(left, right[0].__lt__), repeat(k)))
-        tails.append(_chain_orderings(right, left[-1].__gt__))
-    for head, k in merge(*heads):
-        for tail in tails[k]:
-            yield head + tail
+        # Heads of different sets differ, so merge never compares the lists.
+        tails = _chain_orderings(right, left[-1].__gt__)
+        blocks.append(zip(_chain_orderings(left, right[0].__lt__), repeat(tails)))
+    return merge(*blocks)
 
 
 def _chain_orderings(block: tuple[int, ...], keep: Callable[[int], bool]) -> list[tuple[int, ...]]:
@@ -402,6 +408,7 @@ class CountTable(_Record):
     def to_json(self, r_max: int | None = None) -> str:
         # Counts are serialized as decimal strings so consumers with fixed
         # integer widths can still read large factorials.
+        import json  # on use: see cli.cmd_check
         return json.dumps(
             [{"r": r, "n": n, "k": str(k)} for r, n, k in self.rows(r_max)]
         )

@@ -5,7 +5,7 @@ not a tolerance issue."""
 from __future__ import annotations
 
 from collections import Counter
-from itertools import permutations
+from itertools import compress, permutations
 from math import comb, factorial, inf, perm
 
 from .counting import (
@@ -70,45 +70,48 @@ _STRUCTURE_FACTS = {
 
 
 def structure_checks(n_max: int, limit: int = DEFAULT_SEARCH_LIMIT) -> list[Check]:
-    """Structural facts about the avoidance classes, swept from S_n as plain
-    tuples for all n <= n_max and all r; a failure names the first failing
-    (r, n), n then r.  Refuses n_max > limit before any sweep."""
+    """Structural facts about the avoidance classes, swept from S_n for all
+    n <= n_max and all r; a failure names the first failing (r, n), n then
+    r.  Refuses n_max > limit before any sweep.  Each class is a list of
+    indices into one list of S_n per size; ``_remove_max`` and
+    ``_rotate180`` run once per permutation, as index maps into S_{n-1} and
+    S_n, with None for an image off them.  Sizes below n - 1 are dropped."""
     _check_int("n_max", n_max, 1, inf)
     _check_limit(n_max, limit)
-    classes: dict[tuple[int, int], list[tuple[int, ...]]] = {
-        (r, n): [w for w in permutations(range(1, n + 1)) if _avoids(w, r)]
-        for n in range(n_max + 1)
-        for r in range(n + 1)
-    }
-
-    def facts(r: int, n: int) -> dict[str, bool]:
-        members = classes[(r, n)]
-        max_left = [w for w in members if n in w[:r]]
-        found = {
-            "split": len(max_left) == max_left_avoider_count(r, n) and len(members) == avoider_count(r, n),
-        }
-        if r <= n - r:
-            # A bijection from (r, n) onto (n - r, n) by the involution
-            # _rotate180 is inverted by _rotate180 itself, so the pair's
-            # other direction needs no check of its own.
-            mirror = classes[(n - r, n)]
-            found["rotate"] = len(members) == len(mirror) and {_rotate180(w) for w in members} == set(mirror)
-        if r < n:
-            fibers = Counter(_remove_max(w) for w in members if n not in w[:r])
-            found["fibers"] = fibers == {w: n - r for w in classes[(r, n - 1)]}
-        if r >= 1:
-            smaller = set(classes[(r - 1, n - 1)])
-            found["peel-left"] = all(_remove_max(w) in smaller for w in max_left)
-        if 0 < r < n:
-            found["partition"] = Counter(min(w[r:]) for w in max_left) == {
-                i: comb(n - i - 1, r - i) * perm(r, i - 1) for i in range(1, r + 1)
-            }
-        return found
-
+    rank: dict[tuple[int, ...], int] = {(): 0}
+    classes = [[0]]  # S_0's one class: the empty permutation avoids both patterns
     failures: dict[str, str] = {}
     for n in range(1, n_max + 1):
+        perms = list(permutations(range(1, n + 1)))
+        ids = list(range(len(perms)))
+        smaller_rank, rank = rank, dict(zip(perms, ids))
+        smaller_classes, classes = classes, [list(compress(ids, [_avoids(w, r) for w in perms])) for r in range(n + 1)]
+        down = [smaller_rank.get(_remove_max(w)) for w in perms]
+        rotated = [rank.get(_rotate180(w)) for w in perms]
+        top = [w.index(n) for w in perms]  # the position of the max
         for r in range(n + 1):
-            for key, holds in facts(r, n).items():
+            members = classes[r]
+            max_left = [i for i in members if top[i] < r]
+            found = {
+                "split": len(max_left) == max_left_avoider_count(r, n) and len(members) == avoider_count(r, n),
+            }
+            if r <= n - r:
+                # A bijection from (r, n) onto (n - r, n) by the involution
+                # _rotate180 is inverted by _rotate180 itself, so the pair's
+                # other direction needs no check of its own.
+                mirror = classes[n - r]
+                found["rotate"] = len(members) == len(mirror) and {rotated[i] for i in members} == set(mirror)
+            if r < n:
+                fibers = Counter(down[i] for i in members if top[i] >= r)
+                found["fibers"] = fibers == dict.fromkeys(smaller_classes[r], n - r)
+            if r >= 1:
+                smaller = set(smaller_classes[r - 1])
+                found["peel-left"] = all(down[i] in smaller for i in max_left)
+            if 0 < r < n:
+                found["partition"] = Counter(min(perms[i][r:]) for i in max_left) == {
+                    i: comb(n - i - 1, r - i) * perm(r, i - 1) for i in range(1, r + 1)
+                }
+            for key, holds in found.items():
                 if not holds and key not in failures:
                     failures[key] = f"{_STRUCTURE_FACTS[key][1]} at (r,n)=({r},{n})"
 

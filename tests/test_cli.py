@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import splitpat.cli
+import splitpat.counting
 import splitpat.series
 import splitpat.verify
 from splitpat import (
@@ -24,7 +25,8 @@ from splitpat import (
     is_avoider,
 )
 from splitpat.cli import main
-from splitpat.counting import SearchLimitError
+from splitpat.counting import SearchLimitError, _avoider_tuples
+from splitpat.perms import _format_values
 from splitpat.verify import TARGETS, run_target
 from support import PATTERNS, TABLE1, assert_valid_witness, filtered_class
 
@@ -233,6 +235,23 @@ PINNED_OUTPUT = {
     ("verify", "--target", "oracle", "--n-max", "8", "--format", "json"): "814a1b1a6c5859c4d3cfa16f8b8baa001c13fba77a612be01c2e0a121fff98d0",
     ("verify", "--target", "fibers", "--n-max", "7"): "1953780419a75922016f67ae39322524b9e145819e29e9e4f6e45f786395a62c",
     ("verify", "--target", "fibers", "--n-max", "7", "--format", "json"): "0e180310894b6fd4ff000908e359e5713b2bde84f3c9f52e0598219ed89d5f26",
+    # Captured before the structure suite named permutations by index and
+    # enumerate formatted each block once.
+    ("verify", "--target", "fibers", "--n-max", "8"): "ec4f70035c11c182ef22eb152eca1d2e40b554eab60b106efd17946680a3c5d9",
+    **{
+        ("enumerate", "--r", r, "--n", n, *fmt): digest
+        for r, n, fmt, digest in [
+            ("4", "9", (), "33c1d62de14819397ae1485a00f618143a434bdceef8fc4da4c3fa35a66766ae"),
+            ("4", "9", ("--format", "json"), "8363823a629020674cc64f6a50da50ad5dbbe2cda9247eee0c68cfbba883b094"),
+            ("5", "10", (), "94001afbf285aae07020b430383d091df11c7315ba2de1baafb3518073e772ee"),
+            ("5", "10", ("--format", "json"), "877298ec3b271f92844e09bfac8aedbb809ff6eb6af90eb9319c56b43730dcfa"),
+            ("1", "8", (), "74af5adbc0f090d92e45b06cecba703d0d24f9de6ac4cb1e2f19703bdc113411"),
+            ("1", "8", ("--format", "json"), "b2c9f20af2320de8db44620e5b398b4653d070cedb7e9d641b7e47a76e6edf76"),
+            ("7", "8", (), "6892a72e7825d52e640f40c0d576ace2f66f1635f940a84a519c031d7210e06f"),
+            ("7", "8", ("--format", "json"), "bc31100759951ab841c8794ecd716bf674d14e0cd106cecce9779cb8535f7e62"),
+            ("0", "7", (), "c5a2e77a0cdd2dd633bd4a5defb1a8463478607af3b0076ac0763d6751601c59"),
+        ]
+    },
     ("count", "--r", "1", "--n", "9", "--method", "brute"): "5329fd7878e9f817dc7514ac877d0edba0da5f179e1dec43e60b26c04c74b7d6",
     ("count", "--r", "4", "--n", "9", "--method", "brute"): "c9395bb728441a60fbdb63c8db1c682bfca3b1aacab2d6c3d1f7a306e077ddc3",
     ("check", "--perm", "315642", "--r", "3"): "f5c8dfbfec366cd38ac1935ee027deb1745db13162730fc8a26bbbfac224f77d",
@@ -440,6 +459,17 @@ class TestEnumerate:
                 assert run(capsys, *args) == (0, "".join(m + "\n" for m in members), ""), (r, n)
                 assert run(capsys, *args, "--format", "json") == (0, json.dumps(members) + "\n", ""), (r, n)
 
+    @pytest.mark.parametrize(
+        "r, n", [(r, n) for n in range(9) for r in range(n + 1)] + [(5, 10)], ids=lambda v: str(v)
+    )
+    def test_block_text_equals_the_member_text(self, capsys, r, n):
+        # The text built block by block against each member formatted whole,
+        # at n = 10 too, where the values are separated by commas.
+        members = list(map(_format_values, _avoider_tuples(r, n)))
+        args = ("enumerate", "--r", str(r), "--n", str(n))
+        assert run(capsys, *args) == (0, "".join(m + "\n" for m in members), "")
+        assert run(capsys, *args, "--format", "json") == (0, json.dumps(members) + "\n", "")
+
     def test_closed_stdout_is_not_a_fault(self):
         # The class at (5, 10) (about 800 KB) is written in chunks, and the
         # closed reader meets one of them, as under ``| head -c 20``.
@@ -609,6 +639,20 @@ class TestVerify:
                 },
             ),
             (
+                # Images outside S_n and S_{n-1} fail their facts, never raise.
+                "_rotate180",
+                lambda original: lambda w: w + (0,) if len(w) >= 4 else original(w),
+                {"rotate": "rotation image wrong at (r,n)=(0,4)"},
+            ),
+            (
+                "_remove_max",
+                lambda original: lambda w: w if len(w) >= 5 else original(w),
+                {
+                    "fibers": "fiber sizes wrong at (r,n)=(0,5)",
+                    "peel-left": "max-left peel leaves the class at (r,n)=(1,5)",
+                },
+            ),
+            (
                 "perm",
                 lambda original: lambda *args: 0,
                 {"partition": "partition sizes wrong at (r,n)=(1,2)"},
@@ -648,7 +692,7 @@ class TestVerify:
                 },
             ),
         ],
-        ids=["split", "rotate", "fibers-and-peel-left", "partition", "sweep", "sweep-above-half", "sweep-at-half"],
+        ids=["split", "rotate", "fibers-and-peel-left", "rotate-off-S_n", "remove-max-off-S_n-1", "partition", "sweep", "sweep-above-half", "sweep-at-half"],
     )
     def test_structure_suite_names_the_first_failing_cell(
         self, monkeypatch, name, corrupt, failures
@@ -660,6 +704,31 @@ class TestVerify:
         assert [c.key for c in checks] == ["split", "fibers", "peel-left", "partition", "rotate"]
         assert {c.key: c.detail for c in checks if not c.passed} == failures
         assert all(c.detail == "" for c in checks if c.passed)
+
+    def test_structure_suite_maps_each_permutation_once_per_size(self, monkeypatch):
+        # The predicate still sees every (w, r) with w in S_n, 1 <= n <= 5,
+        # but each map runs once per permutation, and the builder never.
+        calls = Counter()
+
+        def counted(name):
+            original = getattr(splitpat.verify, name)
+
+            def wrapper(*args):
+                calls[name, len(args[0])] += 1
+                return original(*args)
+
+            return wrapper
+
+        def forbidden(*args):
+            raise AssertionError("the structure suite read the class builder")
+
+        for name in ("_avoids", "_remove_max", "_rotate180"):
+            monkeypatch.setattr(splitpat.verify, name, counted(name))
+        monkeypatch.setattr(splitpat.counting, "_chain_orderings", forbidden)
+        assert all(c.passed for c in splitpat.verify.structure_checks(5))
+        for n, size in enumerate([1, 2, 6, 24, 120], start=1):
+            assert calls["_avoids", n] == (n + 1) * size, n
+            assert calls["_remove_max", n] == calls["_rotate180", n] == size, n
 
     @pytest.mark.parametrize("suite", ["oracle_checks", "structure_checks"])
     def test_exhaustive_suite_refuses_before_sweeping(self, monkeypatch, suite):

@@ -161,6 +161,35 @@ def test_commands_start_without_heavy_imports(argv, code):
     assert proc.stderr.split() == [str(code)], proc.stderr
 
 
+# Runs one command, then prints its exit code and whether it loaded json.
+JSON_PROBE = """\
+import sys
+from splitpat.cli import main
+code = main(sys.argv[1:])
+print(code, "json" in sys.modules, file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, code, loaded",
+    [
+        (("verify", "--target", "fibers", "--n-max", "4"), 0, False),
+        (("enumerate", "--r", "2", "--n", "4"), 0, False),
+        (("check", "--perm", "312", "--r", "1"), 1, True),
+    ],
+    ids=["verify-fibers", "enumerate", "check"],
+)
+def test_json_is_imported_only_by_the_commands_that_print_it(argv, code, loaded):
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", JSON_PROBE, *argv],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.stderr.split() == [str(code), str(loaded)], proc.stderr
+
+
 def test_every_traced_name_resolves():
     # The tracer looks these up by name and cannot wrap a deleted one; it
     # also replaces counting._avoids and BivariateSeries.__post_init__ to
