@@ -23,7 +23,6 @@ from .counting import (
     DEFAULT_SEARCH_LIMIT,
     SearchLimitError,
     _avoider_blocks,
-    _check_limit,
     _count_column,
     avoider_count_by_peeling,
     brute_count,
@@ -31,11 +30,6 @@ from .counting import (
 )
 from .perms import BadInputError, _check_int, contains_split, parse_permutation
 from .verify import TARGETS, run_target
-
-
-def _fail_usage(message: str) -> int:
-    print(f"splitpat: error: {message}", file=sys.stderr)
-    return 2
 
 
 # The option that supplies each argument the library checks, by the
@@ -147,9 +141,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    _check_int("n", args.n, 0, inf)
-    _check_int("r", args.r, 0, args.n)
-    _check_limit(args.n, args.unsafe_n_max)
+    blocks = _avoider_blocks(args.r, args.n, args.unsafe_n_max)  # checked before n sizes anything
     if args.format == "lines":
         quote, lead, sep, close = "", "", "\n", "\n"
     else:  # json.dumps of the list: digits and commas need no escapes
@@ -160,7 +152,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     # Each head's members are joined in one step, and written in chunks of
     # about 64 KB.  The class is never empty: the identity avoids both patterns.
     chunk, size = [], 0
-    for head, tails in _avoider_blocks(args.r, args.n):
+    for head, tails in blocks:
         if type(tails[0]) is tuple:  # the set's first head: its right blocks become text
             for i, tail in enumerate(tails):  # in place, so no set is held twice; each leads with comma
                 tails[i] = comma.join(("", *map(text, tail))) + quote
@@ -213,6 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Split-pattern avoidance: exact counts, checks and identity verification.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    guard = dict(type=int, default=DEFAULT_SEARCH_LIMIT, help="override the exhaustive-search guard")
 
     p = sub.add_parser("table", help="print the table of avoidance counts")
     p.add_argument("--n-max", type=int, required=True, help="largest permutation size (1..100)")
@@ -224,12 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--method", choices=("formula", "corollary", "brute"), default="formula")
-    p.add_argument(
-        "--unsafe-n-max",
-        type=int,
-        default=DEFAULT_SEARCH_LIMIT,
-        help="override the exhaustive-search guard",
-    )
+    p.add_argument("--unsafe-n-max", **guard)
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("check", help="test one permutation at one position")
@@ -246,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--format", choices=("lines", "json"), default="lines")
-    p.add_argument("--unsafe-n-max", type=int, default=DEFAULT_SEARCH_LIMIT)
+    p.add_argument("--unsafe-n-max", **guard)
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("verify", help="run a verification suite")
@@ -254,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, default=12, help="series window order (>= 2)")
     p.add_argument("--n-max", type=int, default=7, help="largest size for exhaustive targets")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--unsafe-n-max", type=int, default=DEFAULT_SEARCH_LIMIT)
+    p.add_argument("--unsafe-n-max", **guard)
     p.set_defaults(func=cmd_verify)
 
     return parser
@@ -282,7 +270,8 @@ def main(argv: list[str] | None = None) -> int:
         )
         return 3
     except BadInputError as exc:
-        return _fail_usage(_usage_message(exc))
+        print(f"splitpat: error: {_usage_message(exc)}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -19,9 +19,10 @@ large.
 
 The classes themselves come as a stream of blocks from ``_avoider_blocks``,
 built by the oracle's characterization instead of filtering S_n, so its
-cost follows the class size, not n!; ``_avoider_tuples`` joins each
-member's two blocks and ``enumerate`` formats each block once.  It holds
-every block of every set at once (ROADMAP item 6).
+cost follows the class size, not n!.  It is the one checked entry to the
+classes: ``enumerate_avoiders`` joins each member's two blocks and
+``enumerate`` formats each block once.  It holds every block of every set
+at once (ROADMAP item 6).
 """
 
 from __future__ import annotations
@@ -178,25 +179,17 @@ def enumerate_avoiders(
     r: int, n: int, limit: int = DEFAULT_SEARCH_LIMIT
 ) -> list[Permutation]:
     """All avoiders in S_n with respect to position r, in lexicographic
-    one-line order, built block by block by ``_avoider_tuples``.  Refuses
-    n > limit."""
-    _check_int("n", n, 0, inf)
-    _check_int("r", r, 0, n)
-    _check_limit(n, limit)
-    return [Permutation(vals) for vals in _avoider_tuples(r, n)]
+    one-line order: the members of ``_avoider_blocks``, which checks n and r
+    and refuses n > limit."""
+    return [Permutation(head + tail) for head, tails in _avoider_blocks(r, n, limit) for tail in tails]
 
 
-def _avoider_tuples(r: int, n: int) -> Iterator[tuple[int, ...]]:
-    """The avoiders of ``_avoider_blocks`` as tuples, in lexicographic order."""
-    for head, tails in _avoider_blocks(r, n):
-        for tail in tails:
-            yield head + tail
-
-
-def _avoider_blocks(r: int, n: int) -> Iterator[tuple[tuple[int, ...], list[tuple[int, ...]]]]:
+def _avoider_blocks(r: int, n: int, limit: int) -> Iterator[tuple[tuple[int, ...], list[tuple[int, ...]]]]:
     """The avoiders in S_n at position r as a stream of blocks, built with
     no pass over S_n: each left block in lexicographic order, paired with
-    the sorted list of its set's right blocks, one list per set.
+    the sorted list of its set's right blocks, one list per set.  It checks
+    n, then r, then refuses n > limit, before it returns the stream; it is
+    the one place where ``enumerate`` and ``enumerate_avoiders`` check them.
 
     By the characterization in ``brute_count``, the members whose left block
     holds the set S are every left block of S followed by every right block
@@ -208,6 +201,9 @@ def _avoider_blocks(r: int, n: int) -> Iterator[tuple[tuple[int, ...], list[tupl
     n = 10 (ROADMAP item 6).  The lists are the stream's own: a consumer may
     replace the blocks in them by their text, as ``cli`` does.
     """
+    _check_int("n", n, 0, inf)
+    _check_int("r", r, 0, n)
+    _check_limit(n, limit)
     from heapq import merge  # on use: no other command needs it
 
     values = range(1, n + 1)

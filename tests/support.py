@@ -94,10 +94,6 @@ def oracle_first_witness(w: Permutation, pattern, r: int):
     return next(oracle_witnesses(w, pattern, r), None)
 
 
-def oracle_contains(w: Permutation, pattern, r: int) -> bool:
-    return oracle_first_witness(w, pattern, r) is not None
-
-
 def assert_valid_witness(w: Permutation, pattern, r: int, idx):
     """Independent re-check of a witness, the tuple of its positions, of the
     (values, split) pattern against the containment definition."""

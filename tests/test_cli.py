@@ -25,7 +25,7 @@ from splitpat import (
     is_avoider,
 )
 from splitpat.cli import main
-from splitpat.counting import SearchLimitError, _avoider_tuples
+from splitpat.counting import SearchLimitError, enumerate_avoiders
 from splitpat.perms import _format_values
 from splitpat.verify import TARGETS, run_target
 from support import PATTERNS, TABLE1, assert_valid_witness, filtered_class
@@ -250,8 +250,17 @@ PINNED_OUTPUT = {
             ("7", "8", (), "6892a72e7825d52e640f40c0d576ace2f66f1635f940a84a519c031d7210e06f"),
             ("7", "8", ("--format", "json"), "bc31100759951ab841c8794ecd716bf674d14e0cd106cecce9779cb8535f7e62"),
             ("0", "7", (), "c5a2e77a0cdd2dd633bd4a5defb1a8463478607af3b0076ac0763d6751601c59"),
+            # Captured before enumerate's argument checks moved into the
+            # class builder, as were the verify all and count entries below.
+            ("1", "9", (), "e5d7f524cd68d78edac03bce7808ebdcd497be8f52660bff391f769ec5bfb2a8"),
+            ("1", "9", ("--format", "json"), "eea705d0983514deb65fbc385c4054133b4aadf725eb2097bda268cb3b239b9b"),
+            ("8", "9", (), "38ee8e7ef9be7c76b8f7830912cb408c342add06f6bb04de0d7d6605c88efa46"),
+            ("8", "9", ("--format", "json"), "2f9f81aeb37b38686a7778fca0ff0cdd5ff0cd0a606abdc6d7b6ee5459765edf"),
         ]
     },
+    ("verify", "--target", "all", "--order", "60", "--n-max", "7"): "1bc74e088e06fe83ad6d9a43022c30c6c36b3188105f326b1608cb230b74fb0b",
+    ("verify", "--target", "all", "--order", "60", "--n-max", "7", "--format", "json"): "eb40dce26d497c813f50430da19f6bc58bfdd4628bd20c05c8470e35c59dad3e",
+    ("count", "--r", "2000", "--n", "4000"): "bee4363ea117e5766ba68f74214c019bf982fafcad9f9f3b028de03460bc0111",
     ("count", "--r", "1", "--n", "9", "--method", "brute"): "5329fd7878e9f817dc7514ac877d0edba0da5f179e1dec43e60b26c04c74b7d6",
     ("count", "--r", "4", "--n", "9", "--method", "brute"): "c9395bb728441a60fbdb63c8db1c682bfca3b1aacab2d6c3d1f7a306e077ddc3",
     ("check", "--perm", "315642", "--r", "3"): "f5c8dfbfec366cd38ac1935ee027deb1745db13162730fc8a26bbbfac224f77d",
@@ -450,6 +459,26 @@ class TestEnumerate:
             "raise it with --unsafe-n-max to proceed\n"
         )
 
+    # Each refused command line, with its exit code and its message; n is
+    # checked before r, and both before the guard.
+    REFUSALS = {
+        "--r 1 --n -1": (2, "--n must be an int >= 0, got -1"),
+        "--r 4 --n 3": (2, "--r must be an int in 0..3, got 4"),
+        "--r 12 --n 11": (2, "--r must be an int in 0..11, got 12"),
+        "--r 1 --n 3 --unsafe-n-max -1": (2, "--unsafe-n-max must be an int >= 0, got -1"),
+        "--r 5 --n 11 --unsafe-n-max -1": (2, "--unsafe-n-max must be an int >= 0, got -1"),
+        "--r -1 --n -1 --unsafe-n-max -1": (2, "--n must be an int >= 0, got -1"),
+        "--r 5 --n 11": (
+            3,
+            "size 11 exceeds the exhaustive-search guard (10); raise it with --unsafe-n-max to proceed",
+        ),
+    }
+
+    @pytest.mark.parametrize("argv", list(REFUSALS))
+    def test_refusals(self, capsys, argv):
+        code, message = self.REFUSALS[argv]
+        assert run(capsys, "enumerate", *argv.split()) == (code, "", f"splitpat: error: {message}\n")
+
     def test_output_equals_the_full_sweep(self, capsys):
         # Both formats, byte for byte, against the S_n filter's members.
         for n in range(7):
@@ -465,7 +494,7 @@ class TestEnumerate:
     def test_block_text_equals_the_member_text(self, capsys, r, n):
         # The text built block by block against each member formatted whole,
         # at n = 10 too, where the values are separated by commas.
-        members = list(map(_format_values, _avoider_tuples(r, n)))
+        members = [_format_values(w.values) for w in enumerate_avoiders(r, n)]
         args = ("enumerate", "--r", str(r), "--n", str(n))
         assert run(capsys, *args) == (0, "".join(m + "\n" for m in members), "")
         assert run(capsys, *args, "--format", "json") == (0, json.dumps(members) + "\n", "")

@@ -239,7 +239,7 @@ class TestBruteForce:
         # filter as the reference.
         for n in range(9):
             for r in range(n + 1):
-                assert tuple(splitpat.counting._avoider_tuples(r, n)) == filtered_class(r, n), (r, n)
+                assert tuple(w.values for w in enumerate_avoiders(r, n)) == filtered_class(r, n), (r, n)
 
     def test_oracle_needs_no_predicate_formula_or_factorial(self, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -247,7 +247,7 @@ class TestBruteForce:
 
         for name in (
             "_avoids",
-            "_avoider_tuples",
+            "_avoider_blocks",
             "_chain_orderings",
             "avoider_count",
             "avoider_count_by_peeling",

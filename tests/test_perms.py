@@ -17,7 +17,6 @@ from support import (
     PATTERN_3_12,
     PATTERNS,
     assert_valid_witness,
-    oracle_contains,
     oracle_first_witness,
     oracle_witnesses,
 )
@@ -148,74 +147,44 @@ class TestContainsSplit:
         assert contains_split(w, 1) == ((1, 2, 3), None)
         assert list(oracle_witnesses(w, PATTERN_3_12, 1)) == [(1, 2, 3)]
 
-    def test_agrees_with_subset_oracle_exhaustive(self):
-        for n in range(6):
-            for w in all_perms(n):
-                for r in range(n + 1):
-                    for pattern, got in zip(PATTERNS, contains_split(w, r)):
-                        assert (got is not None) == oracle_contains(w, pattern, r)
-
-    @given(perm_and_position())
-    def test_witnesses_are_valid_and_lex_smallest(self, wr):
-        w, r = wr
-        for pattern, witness in zip(PATTERNS, contains_split(w, r)):
-            expected = list(oracle_witnesses(w, pattern, r))
-            if witness is None:
-                assert not expected
-            else:
-                assert_valid_witness(w, pattern, r, witness)
-                assert witness == expected[0]
-
-
-def oracle_avoids(w, r):
-    return not any(oracle_contains(w, pattern, r) for pattern in PATTERNS)
-
-
-class TestAvoiderPredicate:
-    def test_spec_examples(self):
-        assert not is_avoider(parse_permutation("315642"), 3)
-        assert is_avoider(parse_permutation("321"), 1)
-        assert not is_avoider(parse_permutation("312"), 1)
-
-    def test_matches_contains_split_definition_exhaustive(self):
-        for n in range(8):
-            for w in all_perms(n):
-                for r in range(n + 1):
-                    assert is_avoider(w, r) == oracle_avoids(w, r)
-
-    @given(long_perm_and_position())
-    def test_matches_contains_split_beyond_exhaustive_range(self, wr):
-        w, r = wr
-        assert is_avoider(w, r) == oracle_avoids(w, r)
-
-    def test_avoidance_universal_at_ends(self):
-        for n in range(8):
-            for w in all_perms(n):
-                assert is_avoider(w, 0)
-                assert is_avoider(w, n)
-
-
-class TestSplitWitnesses:
-    """contains_split, the linear scan, must give the subset oracle's first
-    witness of each pattern index for index."""
-
     @staticmethod
     def assert_equals_oracle(w, r):
+        """contains_split, the linear scan, gives the subset oracle's first
+        witness of each pattern index for index, and is_avoider holds
+        exactly when neither pattern has one."""
         found = contains_split(w, r)
         for pattern, witness in zip(PATTERNS, found):
             if witness is not None:
                 assert_valid_witness(w, pattern, r, witness)
-        assert found == tuple(oracle_first_witness(w, pattern, r) for pattern in PATTERNS), (w, r)
+        expected = tuple(oracle_first_witness(w, pattern, r) for pattern in PATTERNS)
+        assert found == expected, (w, r)
+        assert is_avoider(w, r) == (expected == (None, None)), (w, r)
 
-    def test_equals_contains_split_exhaustive(self):
+    def test_agrees_with_subset_oracle_exhaustive(self):
         for n in range(8):
             for w in all_perms(n):
                 for r in range(n + 1):
                     self.assert_equals_oracle(w, r)
 
     @given(long_perm_and_position())
-    def test_equals_contains_split_beyond_exhaustive_range(self, wr):
+    def test_witnesses_are_valid_and_lex_smallest(self, wr):
         self.assert_equals_oracle(*wr)
+
+
+class TestAvoiderPredicate:
+    # TestContainsSplit checks is_avoider against the subset oracle, in the
+    # same sweep as the witnesses.
+
+    def test_spec_examples(self):
+        assert not is_avoider(parse_permutation("315642"), 3)
+        assert is_avoider(parse_permutation("321"), 1)
+        assert not is_avoider(parse_permutation("312"), 1)
+
+    def test_avoidance_universal_at_ends(self):
+        for n in range(8):
+            for w in all_perms(n):
+                assert is_avoider(w, 0)
+                assert is_avoider(w, n)
 
 
 class TestStructuralMaps:
