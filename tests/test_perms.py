@@ -147,44 +147,69 @@ class TestContainsSplit:
         assert contains_split(w, 1) == ((1, 2, 3), None)
         assert list(oracle_witnesses(w, PATTERN_3_12, 1)) == [(1, 2, 3)]
 
-    @staticmethod
-    def assert_equals_oracle(w, r):
-        """contains_split, the linear scan, gives the subset oracle's first
-        witness of each pattern index for index, and is_avoider holds
-        exactly when neither pattern has one."""
-        found = contains_split(w, r)
-        for pattern, witness in zip(PATTERNS, found):
-            if witness is not None:
-                assert_valid_witness(w, pattern, r, witness)
-        expected = tuple(oracle_first_witness(w, pattern, r) for pattern in PATTERNS)
-        assert found == expected, (w, r)
-        assert is_avoider(w, r) == (expected == (None, None)), (w, r)
-
     def test_agrees_with_subset_oracle_exhaustive(self):
-        for n in range(8):
+        for n in range(6):
             for w in all_perms(n):
                 for r in range(n + 1):
-                    self.assert_equals_oracle(w, r)
+                    for pattern, got in zip(PATTERNS, contains_split(w, r)):
+                        expected = oracle_first_witness(w, pattern, r)
+                        assert (got is None) == (expected is None), (w, r)
 
-    @given(long_perm_and_position())
+    @given(perm_and_position())
     def test_witnesses_are_valid_and_lex_smallest(self, wr):
-        self.assert_equals_oracle(*wr)
+        w, r = wr
+        for pattern, witness in zip(PATTERNS, contains_split(w, r)):
+            if witness is not None:
+                assert_valid_witness(w, pattern, r, witness)
+            assert witness == oracle_first_witness(w, pattern, r)
 
 
 class TestAvoiderPredicate:
-    # TestContainsSplit checks is_avoider against the subset oracle, in the
-    # same sweep as the witnesses.
-
     def test_spec_examples(self):
         assert not is_avoider(parse_permutation("315642"), 3)
         assert is_avoider(parse_permutation("321"), 1)
         assert not is_avoider(parse_permutation("312"), 1)
+
+    def test_matches_contains_split_definition_exhaustive(self):
+        for n in range(8):
+            for w in all_perms(n):
+                for r in range(n + 1):
+                    assert is_avoider(w, r) == (contains_split(w, r) == (None, None))
+
+    @given(long_perm_and_position())
+    def test_matches_contains_split_beyond_exhaustive_range(self, wr):
+        w, r = wr
+        assert is_avoider(w, r) == (contains_split(w, r) == (None, None))
 
     def test_avoidance_universal_at_ends(self):
         for n in range(8):
             for w in all_perms(n):
                 assert is_avoider(w, 0)
                 assert is_avoider(w, n)
+
+
+class TestSplitWitnesses:
+    """contains_split, the linear scan, must give the subset oracle's first
+    witness of each pattern index for index."""
+
+    @staticmethod
+    def assert_equals_oracle(w, r):
+        found = contains_split(w, r)
+        for pattern, witness in zip(PATTERNS, found):
+            if witness is not None:
+                assert_valid_witness(w, pattern, r, witness)
+        expected = tuple(oracle_first_witness(w, pattern, r) for pattern in PATTERNS)
+        assert found == expected, (w, r)
+
+    def test_equals_contains_split_exhaustive(self):
+        for n in range(8):
+            for w in all_perms(n):
+                for r in range(n + 1):
+                    self.assert_equals_oracle(w, r)
+
+    @given(long_perm_and_position())
+    def test_equals_contains_split_beyond_exhaustive_range(self, wr):
+        self.assert_equals_oracle(*wr)
 
 
 class TestStructuralMaps:
