@@ -5,8 +5,8 @@ where c[r][s] is the coefficient of x^r y^s, for 0 <= r, s <= order.
 In this basis every named generating function is a grid of ints, a product
 is the labelled product of Flajolet and Sedgewick (the binomial
 convolution), the mixed integral and derivative are index shifts, and
-division by a series with constant term 1 stays in the integers; only
-``coeff`` and the JSON form divide by r! s!.  Coefficients outside the window are
+division by (1-x)(1-y) is an integer recurrence; only ``coeff`` and the
+JSON form divide by r! s!.  Coefficients outside the window are
 undefined, never assumed zero, so binary operations refuse two different
 orders and two series of different orders compare unequal.  Two
 functions check the identities linking the series cell by cell with zero
@@ -157,28 +157,27 @@ def _pascal(n: int) -> list[list[int]]:
 
 
 def divide_by_unit(num: BivariateSeries, den: BivariateSeries) -> BivariateSeries:
-    """Quotient Q with Q * den = num, on the order num and den share.
+    """Quotient Q with Q * den = num, on the order num and den share, where
+    den must be (1-x)(1-y), the one divisor of the count EGF.
 
-    The denominator must have constant term 1, as (1-x)(1-y) has, so the
-    quotient cells stay ints; they are filled row by row, so every cell the
-    recurrence needs is already available when it is read.  Dividing by
-    (1-x)(1-y) is the integer excess recursion that
-    ``counting.check_excess_recursion`` tests.
+    In cells, (1-x)(1-y) Q is Q(r,s) - r Q(r-1,s) - s Q(r,s-1) + rs Q(r-1,s-1),
+    so the quotient is filled row by row as
+    Q(r,s) = N(r,s) + r Q(r-1,s) + s Q(r,s-1) - rs Q(r-1,s-1): the integer
+    excess recursion that ``counting.check_excess_recursion`` tests.
     """
-    if den.coeffs[0][0] != 1:
-        raise ValueError(f"denominator must have constant term 1, got {den.coeffs[0][0]}")
     n = _common_order(num, den)
-    binom = _pascal(n)
-    rest = [(u, v, c) for u, v, c in _terms(den) if u or v]
-    q = [[0] * (n + 1) for _ in range(n + 1)]
-    for r in range(n + 1):
-        for s in range(n + 1):
-            acc = num.coeffs[r][s]
-            for u, v, c in rest:
-                if u <= r and v <= s:
-                    acc -= binom[r][u] * binom[s][v] * c * q[r - u][s - v]
-            q[r][s] = acc
-    return BivariateSeries(tuple(map(tuple, q)))
+    if _terms(den) != [(0, 0, 1), (0, 1, -1), (1, 0, -1), (1, 1, 1)]:
+        raise ValueError("denominator must be (1-x)(1-y)")
+    rows, above = [], (0,) * (n + 1)
+    for r, cells in enumerate(num.coeffs):
+        left, row = 0, []
+        for s, c in enumerate(cells):
+            # At s = 0 the last term vanishes, whatever above[-1] holds.
+            left = c + r * above[s] + s * (left - r * above[s - 1])
+            row.append(left)
+        above = tuple(row)
+        rows.append(above)
+    return BivariateSeries(tuple(rows))
 
 
 def integrate_xy(series: BivariateSeries) -> BivariateSeries:

@@ -4,14 +4,15 @@ The oracles here deliberately re-derive everything from first principles
 (index-subset enumeration, pairwise order comparison) so they share no code
 path with the library's own scans.  The one exception is ``filtered_class``,
 the S_n filter through the library's ``_avoids``, which shares no code with
-the class builder it checks.
+the class builder it checks.  ``long_divide`` is general long division of
+series, the reference for the library's division by (1-x)(1-y).
 """
 
 from functools import cache
 from itertools import combinations, permutations
 from math import comb, factorial
 
-from splitpat import Permutation
+from splitpat import BivariateSeries, Permutation
 from splitpat.perms import _avoids
 
 # The published count table: (r, n) -> count, every printed cell.
@@ -56,6 +57,26 @@ def swept_decreasing_orderings(block, keep) -> int:
     reference for the oracle's prefix-rejecting block count."""
     want = sorted(filter(keep, block), reverse=True)
     return sum(list(filter(keep, p)) == want for p in permutations(block))
+
+
+def long_divide(num: BivariateSeries, den: BivariateSeries) -> BivariateSeries:
+    """Quotient Q with Q * den = num for any den with constant term 1, on the
+    order num and den share, by long division in EGF cells: Q(r,s) is
+    N(r,s) minus sum C(r,u) C(s,v) D(u,v) Q(r-u,s-v) over the nonzero cells
+    D(u,v) other than the constant, filled row by row."""
+    if den.coeffs[0][0] != 1:
+        raise ValueError(f"denominator must have constant term 1, got {den.coeffs[0][0]}")
+    if num.order != den.order:
+        raise ValueError(f"operands have orders {num.order} and {den.order}")
+    n = num.order
+    rest = [(u, v, d) for u, row in enumerate(den.coeffs) for v, d in enumerate(row) if d and (u or v)]
+    q = [[0] * (n + 1) for _ in range(n + 1)]
+    for r in range(n + 1):
+        for s in range(n + 1):
+            q[r][s] = num.coeffs[r][s] - sum(
+                comb(r, u) * comb(s, v) * d * q[r - u][s - v] for u, v, d in rest if u <= r and v <= s
+            )
+    return BivariateSeries(tuple(map(tuple, q)))
 
 
 # The two split patterns, each as (values, split): the pattern permutation

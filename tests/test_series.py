@@ -26,6 +26,7 @@ from splitpat import (
     verify_identities,
 )
 from splitpat.series import _compare, bessel_checks, main2_checks
+from support import long_divide
 
 # Cells are r! s! times the coefficients, so small int cells already give
 # rational coefficients with every factorial denominator.
@@ -200,24 +201,59 @@ class TestDivision:
         quotient = divide_by_unit(one, one_minus_x_minus_y_plus_xy(5))
         assert quotient == geometric_series(5)
 
+    def test_only_the_unit_is_accepted(self):
+        # divide_by_unit divides by (1-x)(1-y) alone: the constant 1, the
+        # unit's negative, the unit plus x^2 and every order-0 series are
+        # refused.  test_two_orders_are_refused shows the orders come first.
+        unit = one_minus_x_minus_y_plus_xy(3)
+        for den in (
+            BivariateSeries.constant(1, 3),
+            BivariateSeries.constant(0, 3) - unit,
+            unit + monomial(2, 0, 3),
+        ):
+            with pytest.raises(ValueError, match=r"^denominator must be \(1-x\)\(1-y\)$"):
+                divide_by_unit(geometric_series(3), den)
+        for c in range(-8, 9):
+            with pytest.raises(ValueError, match=r"^denominator must be \(1-x\)\(1-y\)$"):
+                divide_by_unit(BivariateSeries.constant(1, 0), BivariateSeries.constant(c, 0))
+
+    @given(small_series(max_order=12, min_order=1))
+    def test_recurrence_equals_long_division(self, num):
+        unit = one_minus_x_minus_y_plus_xy(num.order)
+        assert divide_by_unit(num, unit) == long_divide(num, unit)
+
+    def test_recurrence_equals_long_division_on_the_named_numerators(self):
+        # The two numerators main2_checks divides, L + 1 and L plus
+        # e^x + e^y - 1 on the axes plus 1, then the constant 1 and the
+        # count EGF, exactly at order 40.
+        order = 40
+        unit = one_minus_x_minus_y_plus_xy(order)
+        one = BivariateSeries.constant(1, order)
+        integrated = integrated_binomial_egf(order)
+        axes = BivariateSeries.from_fn(lambda r, s: int(r * s == 0), order)
+        for num in (integrated + one, integrated + axes + one, one, count_egf(order)):
+            assert divide_by_unit(num, unit) == long_divide(num, unit)
+        assert divide_by_unit(integrated + one, unit) == count_egf(order)
+
+    # The reference long division of the tests, on units other than (1-x)(1-y).
     def test_dividing_by_one(self):
         s = count_egf(4)
-        assert divide_by_unit(s, BivariateSeries.constant(1, 4)) == s
+        assert long_divide(s, BivariateSeries.constant(1, 4)) == s
 
     def test_zero_constant_term_rejected(self):
         with pytest.raises(ValueError, match="constant term 1, got 0"):
-            divide_by_unit(geometric_series(2), monomial(1, 0, 2))
+            long_divide(geometric_series(2), monomial(1, 0, 2))
 
     def test_non_unit_constant_term_rejected(self):
         for c in (2, -1):
             with pytest.raises(ValueError, match=f"constant term 1, got {c}"):
-                divide_by_unit(geometric_series(2), BivariateSeries.constant(c, 2))
+                long_divide(geometric_series(2), BivariateSeries.constant(c, 2))
 
     @given(series_pairs)
     def test_quotient_times_denominator_recovers(self, pair):
         num, den = pair
         den = BivariateSeries(((1, *den.coeffs[0][1:]), *den.coeffs[1:]))
-        q = divide_by_unit(num, den)
+        q = long_divide(num, den)
         assert all(type(c) is int for row in q.coeffs for c in row)
         assert q * den == num
 
