@@ -378,9 +378,6 @@ class CountTable(_Record):
     def __init__(self, entries: dict[tuple[int, int], int]) -> None:
         super().__init__(entries)
 
-    def k(self, r: int, n: int) -> int:
-        return self.entries[(r, n)]
-
     def rows(
         self, r_max: int | None = None
     ) -> list[tuple[int, int, int]]:

@@ -1,26 +1,28 @@
 """Truncated bivariate formal power series, stored EGF-scaled.
 
 A series holds the square window of integer cells G[r][s] = r! s! c[r][s],
-where c[r][s] is the coefficient of x^r y^s, for 0 <= r, s <= order.
-In this basis every named generating function is a grid of ints, a product
-is the labelled product of Flajolet and Sedgewick (the binomial
-convolution), the mixed integral and derivative are index shifts, and
-division by (1-x)(1-y) is an integer recurrence; only ``coeff`` and the
-JSON form divide by r! s!.  Coefficients outside the window are
-undefined, never assumed zero, so binary operations refuse two different
-orders and two series of different orders compare unequal.  Two
-functions check the identities linking the series cell by cell with zero
-tolerance, one per group of identities, each building every series it needs
-once: ``bessel_checks`` (the Bessel factorization of the binomial EGF and
-its diagonal) and ``main2_checks`` (the count EGF and its companions), each
-returning a list of ``Check``; ``verify_identities`` runs both and returns
-the checks with the boundary residual, as ``main2_checks`` does.
+where c[r][s] is the coefficient of x^r y^s, for 0 <= r, s <= order.  In
+this basis every named generating function is a grid of ints, the products
+by e^(x+y) and by (1-x)(1-y) and the division by (1-x)(1-y) are steps along
+x and then y (a binomial transform by additions, for the labelled product of
+Flajolet and Sedgewick, a difference and an integer recurrence; any other
+product is refused), the mixed integral and derivative are index shifts,
+and only ``coeff`` and the JSON form divide by r! s!.  Coefficients outside
+the window are undefined, never assumed zero, so binary operations refuse
+two different orders and two series of different orders compare unequal.
+Two functions check the identities linking the series cell by cell with
+zero tolerance, one per group of identities, each building every series it
+needs once: ``bessel_checks`` (the Bessel factorization of the binomial EGF
+and its diagonal) and ``main2_checks`` (the count EGF and its companions),
+each returning a list of ``Check``; ``verify_identities`` runs both and
+returns the checks with the boundary residual, as ``main2_checks`` does.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from math import comb, factorial, inf
+from operator import add, sub
 
 from .counting import _count_square
 from .perms import _Record, _check_int
@@ -51,9 +53,9 @@ class BivariateSeries(_Record):
 
     ``coeffs[r][s]`` is the int cell r! s! times the coefficient of x^r y^s.
     Instances are immutable and safe to share.  Equality compares the
-    cells, so series of two different orders are unequal.  ``nx`` and
-    ``ny``, the orders in x and in y that the JSON form names, both equal
-    ``order``.
+    cells, so series of two different orders are unequal.  ``*`` takes only
+    e^(x+y) or (1-x)(1-y) as a factor.  ``nx`` and ``ny``, the orders in x
+    and in y that the JSON form names, both equal ``order``.
     """
 
     __slots__ = ("coeffs",)
@@ -94,34 +96,23 @@ class BivariateSeries(_Record):
     def __add__(self, other: "BivariateSeries") -> "BivariateSeries":
         if not isinstance(other, BivariateSeries):
             return NotImplemented
-        return BivariateSeries.from_fn(
-            lambda r, s: self.coeffs[r][s] + other.coeffs[r][s], _common_order(self, other)
-        )
+        _common_order(self, other)
+        return BivariateSeries([list(map(add, a, b)) for a, b in zip(self.coeffs, other.coeffs)])
 
     def __sub__(self, other: "BivariateSeries") -> "BivariateSeries":
         if not isinstance(other, BivariateSeries):
             return NotImplemented
-        return BivariateSeries.from_fn(
-            lambda r, s: self.coeffs[r][s] - other.coeffs[r][s], _common_order(self, other)
-        )
+        _common_order(self, other)
+        return BivariateSeries([list(map(sub, a, b)) for a, b in zip(self.coeffs, other.coeffs)])
 
     def __mul__(self, other: "BivariateSeries") -> "BivariateSeries":
         if not isinstance(other, BivariateSeries):
             return NotImplemented
-        n = _common_order(self, other)
-        # The labelled product: cell (r, s) sums C(r,p) C(s,q) A[p][q]
-        # B[r-p][s-q].  Multiply only nonzero pairs of cells: the Bessel
-        # series and the polynomial (1-x)(1-y) are sparse.
-        binom = _pascal(n)
-        acc = [[0] * (n + 1) for _ in range(n + 1)]
-        right = _terms(other)
-        for p, q, a in _terms(self):
-            for u, v, b in right:
-                if p + u > n:
-                    break
-                if q + v <= n:
-                    acc[p + u][q + v] += binom[p + u][p] * binom[q + v][q] * a * b
-        return BivariateSeries(tuple(map(tuple, acc)))
+        _common_order(self, other)
+        for factor, rest in ((self, other), (other, self)):
+            if step := _factor_step(factor):
+                return BivariateSeries(step(step(rest.coeffs)))
+        raise ValueError("one factor must be e^(x+y) or (1-x)(1-y)")
 
     def is_symmetric(self) -> bool:
         """Whether the coefficients are invariant under swapping x and y."""
@@ -146,38 +137,50 @@ def _common_order(a: BivariateSeries, b: BivariateSeries) -> int:
     return a.order
 
 
-def _terms(series: BivariateSeries) -> list[tuple[int, int, int]]:
-    """The nonzero cells (r, s, c) of series, in row-major order."""
-    return [(r, s, c) for r, row in enumerate(series.coeffs) for s, c in enumerate(row) if c]
+def _exp_step(rows: Sequence[Sequence[int]]) -> tuple:
+    """e^x times the rows: row r becomes sum_p C(r,p) row p, by Pascal additions alone."""
+    out = []
+    while rows:
+        out.append(rows[0])
+        rows = [list(map(add, a, b)) for a, b in zip(rows, rows[1:])]
+    return tuple(zip(*out))
 
 
-def _pascal(n: int) -> list[list[int]]:
-    """Rows 0..n of Pascal's triangle: ``_pascal(n)[r][u] = C(r, u)``."""
-    return [[comb(r, u) for u in range(r + 1)] for r in range(n + 1)]
+def _unit_step(rows: Sequence[Sequence[int]]) -> tuple:
+    """(1-x) times the rows: row r becomes row r - r row(r-1), so row 0 stays."""
+    return tuple(zip(*([a - r * b for a, b in zip(row, rows[r - 1])] for r, row in enumerate(rows))))
+
+
+def _quotient_step(rows: Sequence[Sequence[int]]) -> tuple:
+    """The rows divided by (1-x): row r of the quotient Q is row r + r Q(r-1)."""
+    out = [rows[0]]
+    for r in range(1, len(rows)):
+        out.append([a + r * b for a, b in zip(rows[r], out[r - 1])])
+    return tuple(zip(*out))
+
+
+def _factor_step(series: BivariateSeries) -> Callable | None:
+    """The step of e^(x+y) or of (1-x)(1-y), else None.  Both are f(x) f(y),
+    so the grid is the outer product of its first row: all 1 for e^x, and
+    1, -1, 0, ... for 1-x.  A step acts along rows and returns them transposed."""
+    head, n = series.coeffs[0], series.order
+    step = {(1,) * (n + 1): _exp_step, (1, -1, *(0,) * (n - 1)): _unit_step}.get(head)
+    return step if step and series.coeffs == tuple(tuple(a * b for b in head) for a in head) else None
 
 
 def divide_by_unit(num: BivariateSeries, den: BivariateSeries) -> BivariateSeries:
     """Quotient Q with Q * den = num, on the order num and den share, where
     den must be (1-x)(1-y), the one divisor of the count EGF.
 
-    In cells, (1-x)(1-y) Q is Q(r,s) - r Q(r-1,s) - s Q(r,s-1) + rs Q(r-1,s-1),
-    so the quotient is filled row by row as
+    It divides by 1-x along x, row r of Q being row r of num plus r times
+    row r-1 of Q, and then by 1-y along y.  Together the two passes fill
     Q(r,s) = N(r,s) + r Q(r-1,s) + s Q(r,s-1) - rs Q(r-1,s-1): the integer
     excess recursion that ``counting.check_excess_recursion`` tests.
     """
-    n = _common_order(num, den)
-    if _terms(den) != [(0, 0, 1), (0, 1, -1), (1, 0, -1), (1, 1, 1)]:
+    _common_order(num, den)
+    if _factor_step(den) is not _unit_step:
         raise ValueError("denominator must be (1-x)(1-y)")
-    rows, above = [], (0,) * (n + 1)
-    for r, cells in enumerate(num.coeffs):
-        left, row = 0, []
-        for s, c in enumerate(cells):
-            # At s = 0 the last term vanishes, whatever above[-1] holds.
-            left = c + r * above[s] + s * (left - r * above[s - 1])
-            row.append(left)
-        above = tuple(row)
-        rows.append(above)
-    return BivariateSeries(tuple(rows))
+    return BivariateSeries(_quotient_step(_quotient_step(num.coeffs)))
 
 
 def integrate_xy(series: BivariateSeries) -> BivariateSeries:

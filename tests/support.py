@@ -4,8 +4,10 @@ The oracles here deliberately re-derive everything from first principles
 (index-subset enumeration, pairwise order comparison) so they share no code
 path with the library's own scans.  The one exception is ``filtered_class``,
 the S_n filter through the library's ``_avoids``, which shares no code with
-the class builder it checks.  ``long_divide`` is general long division of
-series, the reference for the library's division by (1-x)(1-y).
+the class builder it checks.  ``labelled_product`` is the general product
+of series, the reference for the library's products by e^(x+y) and by
+(1-x)(1-y), and ``long_divide`` is general long division of series, the
+reference for the library's division by (1-x)(1-y).
 """
 
 from functools import cache
@@ -59,11 +61,29 @@ def swept_decreasing_orderings(block, keep) -> int:
     return sum(list(filter(keep, p)) == want for p in permutations(block))
 
 
+def labelled_product(a: BivariateSeries, b: BivariateSeries) -> BivariateSeries:
+    """The labelled product of two series of one order, the binomial
+    convolution in EGF cells: cell (r, s) sums C(r,p) C(s,q) A(p,q)
+    B(r-p,s-q).  Only pairs of nonzero cells are multiplied, so a sparse
+    factor such as the Bessel series or (1-x)(1-y) stays cheap."""
+    if a.order != b.order:
+        raise ValueError(f"operands have orders {a.order} and {b.order}")
+    n = a.order
+    left, right = ([(r, s, c) for r, row in enumerate(x.coeffs) for s, c in enumerate(row) if c] for x in (a, b))
+    acc = [[0] * (n + 1) for _ in range(n + 1)]
+    for p, q, c in left:
+        for u, v, d in right:
+            if p + u <= n and q + v <= n:
+                acc[p + u][q + v] += comb(p + u, p) * comb(q + v, q) * c * d
+    return BivariateSeries(tuple(map(tuple, acc)))
+
+
 def long_divide(num: BivariateSeries, den: BivariateSeries) -> BivariateSeries:
-    """Quotient Q with Q * den = num for any den with constant term 1, on the
-    order num and den share, by long division in EGF cells: Q(r,s) is
-    N(r,s) minus sum C(r,u) C(s,v) D(u,v) Q(r-u,s-v) over the nonzero cells
-    D(u,v) other than the constant, filled row by row."""
+    """Quotient Q with labelled_product(Q, den) = num for any den with
+    constant term 1, on the order num and den share, by long division in
+    EGF cells: Q(r,s) is N(r,s) minus sum C(r,u) C(s,v) D(u,v) Q(r-u,s-v)
+    over the nonzero cells D(u,v) other than the constant, filled row by
+    row."""
     if den.coeffs[0][0] != 1:
         raise ValueError(f"denominator must have constant term 1, got {den.coeffs[0][0]}")
     if num.order != den.order:

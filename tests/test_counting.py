@@ -404,17 +404,17 @@ class TestCountTable:
     def test_matches_published_values(self):
         table = build_count_table(9)
         for (r, n), expected in TABLE1.items():
-            assert table.k(r, n) == expected
-        assert table.k(1, 9) == 109601
-        assert table.k(5, 9) == table.k(4, 9) == 14359
+            assert table.entries[(r, n)] == expected
+        assert table.entries[(1, 9)] == 109601
+        assert table.entries[(5, 9)] == table.entries[(4, 9)] == 14359
 
     def test_invariants(self):
         table = build_count_table(8)
         for (r, n), k in table.entries.items():
-            assert table.k(n - r, n) == k
+            assert table.entries[(n - r, n)] == k
         for n in range(9):
-            assert table.k(0, n) == factorial(n)
-            assert table.k(n, n) == factorial(n)
+            assert table.entries[(0, n)] == factorial(n)
+            assert table.entries[(n, n)] == factorial(n)
 
     def test_csv_layout(self):
         text = build_count_table(2).to_csv()

@@ -37,6 +37,7 @@ DELETED = (
     "PATTERN_3_12",
     "PATTERN_23_1",
     "split_witnesses",
+    "CountTable.k",
 )
 
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 import splitpat.counting
 import splitpat.series
@@ -26,7 +26,7 @@ from splitpat import (
     verify_identities,
 )
 from splitpat.series import _compare, bessel_checks, main2_checks
-from support import long_divide
+from support import labelled_product, long_divide
 
 # Cells are r! s! times the coefficients, so small int cells already give
 # rational coefficients with every factorial denominator.
@@ -46,6 +46,12 @@ def small_series(draw, max_order=4, min_order=0):
 
 # Two series of one order, as every binary operation requires.
 series_pairs = st.integers(0, 4).flatmap(lambda n: st.tuples(small_series(n, n), small_series(n, n)))
+
+
+def factors(n):
+    """The series ``*`` accepts as a factor at order n: e^(x+y), and
+    (1-x)(1-y) once the window reaches degree 1."""
+    return [exp_sum_series(n), *([one_minus_x_minus_y_plus_xy(n)] if n else [])]
 
 
 def monomial(r, s, n):
@@ -101,24 +107,49 @@ class TestSeriesBasics:
         assert s - s == zero
 
     def test_mul_identities(self):
+        # The tests' general product, the reference for the library's two.
         s = binomial_egf_series(3)
         one = BivariateSeries.constant(1, 3)
-        assert s * one == s
-        assert monomial(1, 0, 3) * monomial(0, 1, 3) == monomial(1, 1, 3)
-        assert monomial(2, 0, 3) * monomial(0, 2, 3) == monomial(2, 2, 3)
+        assert labelled_product(s, one) == s
+        assert labelled_product(monomial(1, 0, 3), monomial(0, 1, 3)) == monomial(1, 1, 3)
+        assert labelled_product(monomial(2, 0, 3), monomial(0, 2, 3)) == monomial(2, 2, 3)
+
+    @given(small_series(max_order=4))
+    def test_mul_is_the_convolution_on_the_common_window(self, f):
+        n = f.order
+        for factor in factors(n):
+            for a, b in ((factor, f), (f, factor)):
+                product = a * b
+                assert (product.nx, product.ny) == (n, n)
+                for r in range(n + 1):
+                    for s in range(n + 1):
+                        assert product.coeff(r, s) == sum(
+                            (a.coeff(p, q) * b.coeff(r - p, s - q) for p in range(r + 1) for q in range(s + 1)),
+                            Fraction(0),
+                        )
+
+    @given(small_series(max_order=12))
+    def test_mul_equals_the_labelled_product(self, f):
+        for factor in factors(f.order):
+            assert factor * f == f * factor == labelled_product(factor, f)
+
+    def test_mul_equals_the_labelled_product_on_the_named_series(self):
+        # The two products the identity checks take, exactly at order 40.
+        order = 40
+        exp, bessel = exp_sum_series(order), bessel_i0_series(order)
+        unit, excess = one_minus_x_minus_y_plus_xy(order), excess_ogf(order)
+        assert exp * bessel == labelled_product(exp, bessel) == binomial_egf_series(order)
+        assert unit * excess == labelled_product(unit, excess) == integrated_binomial_egf(order)
 
     @given(series_pairs)
-    def test_mul_is_the_convolution_on_the_common_window(self, pair):
+    def test_mul_refuses_every_other_pair(self, pair):
+        # Neither operand is e^(x+y) or (1-x)(1-y): refused in both orders.
         a, b = pair
-        product = a * b
-        n = a.order
-        assert (product.nx, product.ny) == (n, n)
-        for r in range(n + 1):
-            for s in range(n + 1):
-                assert product.coeff(r, s) == sum(
-                    (a.coeff(p, q) * b.coeff(r - p, s - q) for p in range(r + 1) for q in range(s + 1)),
-                    Fraction(0),
-                )
+        assume(a not in factors(a.order) and b not in factors(b.order))
+        constant = BivariateSeries.constant(1, 3)
+        for left, right in ((a, b), (b, a), (constant, geometric_series(3)), (geometric_series(3), constant)):
+            with pytest.raises(ValueError, match=r"^one factor must be e\^\(x\+y\) or \(1-x\)\(1-y\)$"):
+                left * right
 
     def test_exp_square_doubles_the_rate(self):
         e = exp_sum_series(3)
@@ -255,7 +286,7 @@ class TestDivision:
         den = BivariateSeries(((1, *den.coeffs[0][1:]), *den.coeffs[1:]))
         q = long_divide(num, den)
         assert all(type(c) is int for row in q.coeffs for c in row)
-        assert q * den == num
+        assert labelled_product(q, den) == num
 
 
 class TestCalculus:
