@@ -1,0 +1,122 @@
+"""The stdout contract: one manifest of pinned stdout hashes, its reader and
+its end-to-end runner.
+
+Each line of ``golden/stdout.sha256`` is ``<sha256> <exit code> <tier>
+<argv...>``; blank lines and ``#`` comments are skipped.  ``test`` lines run
+in process under the test suite (``test_cli.py::test_pinned_output_bytes``).
+``ci:<seconds>`` lines run end to end when this file runs as a script::
+
+    python3 tests/manifest.py [MANIFEST]
+
+Each runs as ``python -m splitpat.cli <argv...>`` with stdin from /dev/null.
+A line fails on a different stdout hash or exit code, at ``<seconds>`` of
+wall time, or at a peak RSS of ``CEILING_MB``.  The script exits 1 if any
+line fails, or if the manifest has no ``ci`` line.  Linux only: the peak is
+the child's ``ru_maxrss`` from ``os.wait4``, in KiB.
+"""
+
+import hashlib
+import os
+import re
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+MANIFEST = Path(__file__).parent / "golden" / "stdout.sha256"
+SRC = Path(__file__).resolve().parents[1] / "src"
+CEILING_MB = 200
+CHUNK = 1 << 16
+
+
+class Pin(NamedTuple):
+    line: int
+    sha256: str
+    code: int
+    timeout: int | None  # seconds for a ``ci`` line, None for a ``test`` line
+    argv: tuple[str, ...]
+
+
+def read(path=MANIFEST):
+    """Every pin of the manifest, in file order; a malformed line raises
+    ``ValueError`` naming it."""
+    pins, seen = [], set()
+    for number, text in enumerate(Path(path).read_text().splitlines(), 1):
+        if not text.strip() or text.lstrip().startswith("#"):
+            continue
+        fields = text.split()
+        digest, code, tier = (fields + ["", "", ""])[:3]
+        argv, kind = tuple(fields[3:]), tier.partition(":")[0]
+        for ok, why in [
+            (re.fullmatch("[0-9a-f]{64}", digest), "the hash is not 64 lowercase hex digits"),
+            (re.fullmatch("-?[0-9]+", code), f"exit code {code!r} is not an integer"),
+            (re.fullmatch("test|ci:[1-9][0-9]*", tier), f"unknown tier {tier!r}"),
+            (argv, "no argv"),
+            ((kind, argv) not in seen, f"this argv is already pinned in tier {kind}"),
+        ]:
+            if not ok:
+                raise ValueError(f"{path}:{number}: {why}")
+        seen.add((kind, argv))
+        timeout = int(tier[3:]) if kind == "ci" else None
+        pins.append(Pin(number, digest, int(code), timeout, argv))
+    return pins
+
+
+def run(pin):
+    """Run one ``ci`` pin end to end: return why it failed (empty if it
+    passed), its wall time in seconds and its peak RSS in MB."""
+    start = time.monotonic()
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "splitpat.cli", *pin.argv],
+        stdin=subprocess.DEVNULL,
+        stdout=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    timer = threading.Timer(pin.timeout, proc.kill)
+    timer.start()
+    # A child's peak counts the runner's own RSS at the fork, so stdout is
+    # hashed as it streams and never held.
+    digest = hashlib.sha256()
+    with proc.stdout:
+        while chunk := proc.stdout.read(CHUNK):
+            digest.update(chunk)
+    timer.cancel()
+    timer.join()
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = code = os.waitstatus_to_exitcode(status)
+    seconds, peak_mb = time.monotonic() - start, usage.ru_maxrss / 1024
+    failures = [
+        why
+        for failed, why in [
+            (seconds >= pin.timeout, f"timed out at {pin.timeout} s"),
+            (code != pin.code, f"exit code {code}, pinned {pin.code}"),
+            (digest.hexdigest() != pin.sha256, f"sha256 {digest.hexdigest()}, pinned {pin.sha256}"),
+            (peak_mb >= CEILING_MB, f"peak reached {CEILING_MB} MB"),
+        ]
+        if failed
+    ]
+    return "; ".join(failures), seconds, peak_mb
+
+
+def main(argv=None):
+    """Run every ``ci`` pin of the manifest named in ``argv`` (by default the
+    committed one); return 1 if any fails or there is none, else 0."""
+    args = sys.argv[1:] if argv is None else argv
+    path = args[0] if args else MANIFEST
+    pins = [pin for pin in read(path) if pin.timeout is not None]
+    failed = 0
+    for pin in pins:
+        why, seconds, peak_mb = run(pin)
+        line = f"{'FAILED' if why else 'ok':6} {seconds:6.2f} s {peak_mb:4.0f} MB"
+        line += f"  line {pin.line}: {' '.join(pin.argv)}"
+        print(f"{line}: {why}" if why else line, flush=True)
+        failed += bool(why)
+    if not pins:
+        print(f"{path}: no ci line")
+    return int(failed > 0 or not pins)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

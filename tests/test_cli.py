@@ -28,6 +28,7 @@ from splitpat.cli import main
 from splitpat.counting import SearchLimitError, enumerate_avoiders
 from splitpat.perms import _format_values
 from splitpat.verify import TARGETS, run_target
+import manifest
 from support import PATTERNS, TABLE1, assert_valid_witness, filtered_class
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -202,91 +203,17 @@ class TestCount:
         assert len(out) == 4542 and out[:-1].isdigit() and out.endswith("\n")
 
 
-# check pins, each on a permutation of size 10^4 in comma form at r = 5000:
-# the decreasing one avoids both patterns, swapping its last two values
-# makes a 3|12 only, swapping its first two a 23|1 only; one seeded shuffle.
-_DOWN = list(range(10**4, 0, -1))
-_SHUFFLED = _DOWN[:]
-random.Random(22).shuffle(_SHUFFLED)
-
-# sha256 of stdout, captured before the counts were computed by Horner's
-# rule and the table by the integer recursion; the verify entries before
-# series cells were stored EGF-scaled; the check entries before
-# contains_split became the linear witness scan.
-PINNED_OUTPUT = {
-    ("table", "--n-max", "100"): "be27536949931d10eff8317a47f8f7630bc2d27b3acfb11733951cf01b63cfb8",
-    ("table", "--n-max", "100", "--format", "json"): "8ba3df6adcebebd199af31bd78a3ce6e33383efba28c2acdbf1095bd15faf3cb",
-    **{
-        ("count", "--r", r, "--n", n, "--method", method): digest
-        for r, n, digest in [
-            ("135", "305", "e9683c0c2f19be30efc1644f7eda6273cd6290e896d427c7a7727ea957e3c2db"),
-            ("413", "590", "187cf8e49bb3a5a3b5f124797fd21658bda727da07beb5a0d5d07c95bfa2b17e"),
-            ("450", "900", "8d4f9acda6b48a589a706fbd2da8fae4ab41f0b47d68dc29e76a742d94a5a217"),
-        ]
-        for method in ("formula", "corollary")
-    },
-    ("verify", "--target", "main2", "--order", "22", "--format", "json"): "61b6303be4ff3d8790901c434fad88c4541bb0a3f63f450669f0aaa9f0e376b6",
-    ("verify", "--target", "bessel", "--order", "26", "--format", "json"): "235f167daae0c8c2dcfa54ab44a93135e44cbeb90af4a0a3d171b89406a8eb37",
-    ("verify", "--target", "symmetry", "--order", "20"): "541ff030dcf718745b16dd0e527a8739e5a933873fe4c184d1594d999b0d34b7",
-    ("verify", "--target", "all", "--order", "12", "--n-max", "7", "--format", "json"): "e6763b9228bb45192475c74bc463410e64dcfcf6d3ea1e4e80122e8b96f41f9b",
-    # Captured before the oracle rejected orderings on their prefix and the
-    # structure suite checked rotation once per r, n - r pair.
-    ("verify", "--target", "oracle", "--n-max", "8"): "d133e36bd6c2b13c061e4804b64f7e9ef38d7843ed000af17c12618cf2665c14",
-    ("verify", "--target", "oracle", "--n-max", "8", "--format", "json"): "814a1b1a6c5859c4d3cfa16f8b8baa001c13fba77a612be01c2e0a121fff98d0",
-    ("verify", "--target", "fibers", "--n-max", "7"): "1953780419a75922016f67ae39322524b9e145819e29e9e4f6e45f786395a62c",
-    ("verify", "--target", "fibers", "--n-max", "7", "--format", "json"): "0e180310894b6fd4ff000908e359e5713b2bde84f3c9f52e0598219ed89d5f26",
-    # Captured before the structure suite named permutations by index and
-    # enumerate formatted each block once.
-    ("verify", "--target", "fibers", "--n-max", "8"): "ec4f70035c11c182ef22eb152eca1d2e40b554eab60b106efd17946680a3c5d9",
-    **{
-        ("enumerate", "--r", r, "--n", n, *fmt): digest
-        for r, n, fmt, digest in [
-            ("4", "9", (), "33c1d62de14819397ae1485a00f618143a434bdceef8fc4da4c3fa35a66766ae"),
-            ("4", "9", ("--format", "json"), "8363823a629020674cc64f6a50da50ad5dbbe2cda9247eee0c68cfbba883b094"),
-            ("5", "10", (), "94001afbf285aae07020b430383d091df11c7315ba2de1baafb3518073e772ee"),
-            ("5", "10", ("--format", "json"), "877298ec3b271f92844e09bfac8aedbb809ff6eb6af90eb9319c56b43730dcfa"),
-            ("1", "8", (), "74af5adbc0f090d92e45b06cecba703d0d24f9de6ac4cb1e2f19703bdc113411"),
-            ("1", "8", ("--format", "json"), "b2c9f20af2320de8db44620e5b398b4653d070cedb7e9d641b7e47a76e6edf76"),
-            ("7", "8", (), "6892a72e7825d52e640f40c0d576ace2f66f1635f940a84a519c031d7210e06f"),
-            ("7", "8", ("--format", "json"), "bc31100759951ab841c8794ecd716bf674d14e0cd106cecce9779cb8535f7e62"),
-            ("0", "7", (), "c5a2e77a0cdd2dd633bd4a5defb1a8463478607af3b0076ac0763d6751601c59"),
-            # Captured before enumerate's argument checks moved into the
-            # class builder, as were the verify all and count entries below.
-            ("1", "9", (), "e5d7f524cd68d78edac03bce7808ebdcd497be8f52660bff391f769ec5bfb2a8"),
-            ("1", "9", ("--format", "json"), "eea705d0983514deb65fbc385c4054133b4aadf725eb2097bda268cb3b239b9b"),
-            ("8", "9", (), "38ee8e7ef9be7c76b8f7830912cb408c342add06f6bb04de0d7d6605c88efa46"),
-            ("8", "9", ("--format", "json"), "2f9f81aeb37b38686a7778fca0ff0cdd5ff0cd0a606abdc6d7b6ee5459765edf"),
-        ]
-    },
-    ("verify", "--target", "all", "--order", "60", "--n-max", "7"): "1bc74e088e06fe83ad6d9a43022c30c6c36b3188105f326b1608cb230b74fb0b",
-    ("verify", "--target", "all", "--order", "60", "--n-max", "7", "--format", "json"): "eb40dce26d497c813f50430da19f6bc58bfdd4628bd20c05c8470e35c59dad3e",
-    ("count", "--r", "2000", "--n", "4000"): "bee4363ea117e5766ba68f74214c019bf982fafcad9f9f3b028de03460bc0111",
-    ("count", "--r", "1", "--n", "9", "--method", "brute"): "5329fd7878e9f817dc7514ac877d0edba0da5f179e1dec43e60b26c04c74b7d6",
-    ("count", "--r", "4", "--n", "9", "--method", "brute"): "c9395bb728441a60fbdb63c8db1c682bfca3b1aacab2d6c3d1f7a306e077ddc3",
-    ("check", "--perm", "315642", "--r", "3"): "f5c8dfbfec366cd38ac1935ee027deb1745db13162730fc8a26bbbfac224f77d",
-    **{
-        ("check", "--perm", ",".join(map(str, vals)), "--r", "5000"): digest
-        for vals, digest in [
-            (_DOWN, "47ec921154d4e853c17910892b212ce0f3557f1ae10f7cae4edd133704badceb"),
-            (_DOWN[:-2] + _DOWN[:-3:-1], "c502cb572a9f46aeba2a24e5cde1a48b91804c8cab751fb30888dfc1fc51b6d1"),
-            (_DOWN[1::-1] + _DOWN[2:], "b72ffc4b81103e39246b3314a414e48b5da860d6f825a52a060fbc257646d722"),
-            (_SHUFFLED, "b68cc709e5c08a4746ff018aadc7ea572c48dfdc2ca40fefda627d205e458620"),
-        ]
-    },
-}
-
-
 def _argv_id(argv):
     # A permutation of size 10^4 is named by its first and last values.
     return " ".join(arg if len(arg) <= 40 else f"{arg[:15]}...{arg[-15:]}" for arg in argv)
 
 
-@pytest.mark.parametrize("argv", list(PINNED_OUTPUT), ids=_argv_id)
-def test_pinned_output_bytes(capsys, argv):
-    code, out, _ = run(capsys, *argv)
-    # check exits 1 exactly when it finds a pattern; every other pin exits 0.
-    assert code == (1 if argv[0] == "check" and not json.loads(out)["avoids"] else 0)
-    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_OUTPUT[argv]
+@pytest.mark.parametrize(
+    "pin", [pin for pin in manifest.read() if pin.timeout is None], ids=lambda pin: _argv_id(pin.argv)
+)
+def test_pinned_output_bytes(capsys, pin):
+    code, out, _ = run(capsys, *pin.argv)
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (pin.code, pin.sha256)
 
 
 class TestCheck:

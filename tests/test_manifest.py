@@ -1,0 +1,71 @@
+import pytest
+
+import manifest
+
+COUNT = "e3667f7d8c030260bf49046f955ec9bebdb9a4cb8a66b812fd498ded5431a821 0 ci:30 count --r 2 --n 5"
+CHECK = "f5c8dfbfec366cd38ac1935ee027deb1745db13162730fc8a26bbbfac224f77d 1 ci:30 check --perm 315642 --r 3"
+
+
+def write(tmp_path, *lines):
+    path = tmp_path / "stdout.sha256"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def test_committed_manifest_parses_and_has_both_tiers():
+    pins = manifest.read()
+    assert {pin.timeout is None for pin in pins} == {True, False}
+
+
+def test_runner_passes_on_matching_lines(tmp_path, capsys):
+    path = write(tmp_path, "# cheap lines", "", COUNT, CHECK)
+    assert manifest.main([str(path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in out] == ["ok", "ok"]
+    assert out[0].endswith("line 3: count --r 2 --n 5")
+
+
+@pytest.mark.parametrize(
+    "lines, why",
+    [
+        ([COUNT.replace("e366", "e367"), CHECK], "line 1: count --r 2 --n 5: sha256 e3667f7d"),
+        ([COUNT, CHECK.replace(" 1 ci:", " 0 ci:")], "line 2: check --perm 315642 --r 3: exit code 1, pinned 0"),
+    ],
+    ids=["hash", "exit-code"],
+)
+def test_runner_fails_and_names_a_changed_line(tmp_path, capsys, lines, why):
+    assert manifest.main([str(write(tmp_path, *lines))]) == 1
+    failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAILED")]
+    assert len(failed) == 1 and why in failed[0]
+
+
+@pytest.mark.parametrize(
+    "line, why",
+    [
+        (COUNT.replace("e366", "E366"), "the hash is not 64 lowercase hex digits"),
+        (COUNT[1:], "the hash is not 64 lowercase hex digits"),
+        (COUNT.replace(" 0 ci:", " zero ci:"), "exit code 'zero' is not an integer"),
+        (COUNT.replace("ci:30", "ci"), "unknown tier 'ci'"),
+        (COUNT.replace("ci:30", "ci:0"), "unknown tier 'ci:0'"),
+        (COUNT.replace("ci:30", "nightly"), "unknown tier 'nightly'"),
+        (COUNT.split(" count")[0], "no argv"),
+        (COUNT.replace("ci:30", "ci:5"), "this argv is already pinned in tier ci"),
+    ],
+    ids=["upper-hex", "short-hash", "exit-code", "bare-ci", "zero-seconds", "unknown", "no-argv", "repeated"],
+)
+def test_read_refuses_a_malformed_line(tmp_path, line, why):
+    path = write(tmp_path, COUNT, line)
+    with pytest.raises(ValueError) as refusal:
+        manifest.read(path)
+    assert str(refusal.value) == f"{path}:2: {why}"
+
+
+def test_same_argv_in_both_tiers_is_accepted(tmp_path):
+    pins = manifest.read(write(tmp_path, COUNT, COUNT.replace("ci:30", "test")))
+    assert [pin.timeout for pin in pins] == [30, None]
+
+
+def test_runner_refuses_a_manifest_with_no_ci_line(tmp_path, capsys):
+    path = write(tmp_path, COUNT.replace("ci:30", "test"))
+    assert manifest.main([str(path)]) == 1
+    assert capsys.readouterr().out == f"{path}: no ci line\n"
