@@ -66,22 +66,26 @@ def _decimal(value: int) -> str:
     return _decimal(high) + _decimal(low).zfill(k)
 
 
-def _write_all(text: str) -> None:
-    """Write ASCII text to stdout in full, or raise ``BrokenPipeError``.
+def _write_all(*pieces: str) -> None:
+    """Write ASCII text pieces to stdout in turn and in full, or raise
+    ``BrokenPipeError``; every command's data goes through here.
 
     Under PYTHONUNBUFFERED the text layer writes straight through and drops
     the count of a partial raw write, so a reader that leaves mid-write
     would go unnoticed; the bytes go to the binary layer until all are
-    taken.  A stream with no binary layer (``io.StringIO``) takes them whole.
+    taken.  A line's newline is its own piece, so a large output is never
+    copied to add one.  A stream with no binary layer (``io.StringIO``)
+    takes the pieces whole.
     """
     binary = getattr(sys.stdout, "buffer", None)
     if binary is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
         return
     sys.stdout.flush()
-    data = memoryview(text.encode("ascii"))
-    while data:
-        data = data[binary.write(data) :]
+    for piece in pieces:
+        data = memoryview(piece.encode("ascii"))
+        while data:
+            data = data[binary.write(data) :]
 
 
 def cmd_table(args: argparse.Namespace) -> int:
@@ -92,7 +96,7 @@ def cmd_table(args: argparse.Namespace) -> int:
     if args.format == "csv":
         _write_all(table.to_csv(r_max=args.r_max))
     else:
-        print(table.to_json(r_max=args.r_max))
+        _write_all(table.to_json(r_max=args.r_max), "\n")
     return 0
 
 
@@ -106,7 +110,7 @@ def cmd_count(args: argparse.Namespace) -> int:
         value = avoider_count_by_peeling(args.r, args.n)
     else:
         value = brute_count(args.r, args.n, limit=args.unsafe_n_max)
-    print(_decimal(value))
+    _write_all(_decimal(value), "\n")
     return 0
 
 
@@ -127,16 +131,13 @@ def cmd_check(args: argparse.Namespace) -> int:
     witness_3_12, witness_23_1 = contains_split(w, args.r)
     avoids = witness_3_12 is None and witness_23_1 is None
     import json  # on use: only check and the --format json output need it
-    print(
-        json.dumps(
-            {
-                "avoids": avoids,
-                "fiber_bundle": avoids,
-                "witness_3_12": None if witness_3_12 is None else list(witness_3_12),
-                "witness_23_1": None if witness_23_1 is None else list(witness_23_1),
-            }
-        )
-    )
+    witnesses = {
+        "avoids": avoids,
+        "fiber_bundle": avoids,
+        "witness_3_12": None if witness_3_12 is None else list(witness_3_12),
+        "witness_23_1": None if witness_23_1 is None else list(witness_23_1),
+    }
+    _write_all(json.dumps(witnesses), "\n")
     return 0 if avoids else 1
 
 
@@ -174,28 +175,27 @@ def cmd_verify(args: argparse.Namespace) -> int:
     passed = sum(1 for c in checks if c.passed)
     if args.format == "json":
         import json  # see cmd_check
-        print(
-            json.dumps(
-                {
-                    "target": args.target,
-                    "order": args.order,
-                    "n_max": args.n_max,
-                    "all_passed": passed == len(checks),
-                    "checks": [
-                        {"key": c.key, "name": c.name, "passed": c.passed, "detail": c.detail}
-                        for c in checks
-                    ],
-                    "boundary_residual": None if residual is None else residual.to_dict(),
-                }
-            )
+        text = json.dumps(  # no name holds the report, so it is freed before the write
+            {
+                "target": args.target,
+                "order": args.order,
+                "n_max": args.n_max,
+                "all_passed": passed == len(checks),
+                "checks": [
+                    {"key": c.key, "name": c.name, "passed": c.passed, "detail": c.detail}
+                    for c in checks
+                ],
+                "boundary_residual": None if residual is None else residual.to_dict(),
+            }
         )
+        _write_all(text, "\n")
     else:
-        for c in checks:
-            line = f"{'PASS' if c.passed else 'FAIL'} {c.name}"
-            if c.detail:
-                line += f" [{c.detail}]"
-            print(line)
-        print(f"summary: {passed}/{len(checks)} checks passed")
+        lines = [
+            f"{'PASS' if c.passed else 'FAIL'} {c.name}" + (f" [{c.detail}]" if c.detail else "")
+            for c in checks
+        ]
+        lines.append(f"summary: {passed}/{len(checks)} checks passed")
+        _write_all("\n".join(lines), "\n")
     return 0 if passed == len(checks) else 1
 
 

@@ -375,9 +375,6 @@ class CountTable(_Record):
 
     __slots__ = ("entries",)
 
-    def __init__(self, entries: dict[tuple[int, int], int]) -> None:
-        super().__init__(entries)
-
     def rows(
         self, r_max: int | None = None
     ) -> list[tuple[int, int, int]]:

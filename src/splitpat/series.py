@@ -94,16 +94,16 @@ class BivariateSeries(_Record):
         return Fraction(self.coeffs[r][s], factorial(r) * factorial(s))
 
     def __add__(self, other: "BivariateSeries") -> "BivariateSeries":
-        if not isinstance(other, BivariateSeries):
-            return NotImplemented
-        _common_order(self, other)
-        return BivariateSeries([list(map(add, a, b)) for a, b in zip(self.coeffs, other.coeffs)])
+        return self._cellwise(add, other)
 
     def __sub__(self, other: "BivariateSeries") -> "BivariateSeries":
+        return self._cellwise(sub, other)
+
+    def _cellwise(self, op: Callable[[int, int], int], other: object) -> "BivariateSeries":
         if not isinstance(other, BivariateSeries):
             return NotImplemented
         _common_order(self, other)
-        return BivariateSeries([list(map(sub, a, b)) for a, b in zip(self.coeffs, other.coeffs)])
+        return BivariateSeries([list(map(op, a, b)) for a, b in zip(self.coeffs, other.coeffs)])
 
     def __mul__(self, other: "BivariateSeries") -> "BivariateSeries":
         if not isinstance(other, BivariateSeries):

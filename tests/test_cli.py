@@ -129,9 +129,12 @@ class TestTable:
         assert first == second
 
     def test_closed_stdout_is_not_a_fault(self):
-        # The table (about 460 KB) overfills the pipe, so the write meets
-        # the closed reader.
+        # The table (about 460 KB as CSV, 580 KB as JSON) overfills the
+        # pipe, so the write meets the closed reader.
         assert_closed_reader_exits_quietly(("table", "--n-max", "100"), b"r,n,k\n")
+        assert_closed_reader_exits_quietly(
+            ("table", "--n-max", "100", "--format", "json"), b'[{"r": 0, "n": 1, "k": "1"}'
+        )
 
 
 class TestCount:
