@@ -24,9 +24,10 @@ from .counting import (
     SearchLimitError,
     _avoider_blocks,
     _count_column,
+    _count_rows,
+    _table_text,
     avoider_count_by_peeling,
     brute_count,
-    build_count_table,
 )
 from .perms import BadInputError, _check_int, contains_split, parse_permutation
 from .verify import TARGETS, run_target
@@ -90,13 +91,14 @@ def _write_all(*pieces: str) -> None:
 
 def cmd_table(args: argparse.Namespace) -> int:
     _check_int("n_max", args.n_max, 1, 100)
-    if args.r_max is not None:  # refused before building the table, the slow step
-        _check_int("r_max", args.r_max, 0, inf)
-    table = build_count_table(args.n_max)
-    if args.format == "csv":
-        _write_all(table.to_csv(r_max=args.r_max))
-    else:
-        _write_all(table.to_json(r_max=args.r_max), "\n")
+    r_max = args.n_max if args.r_max is None else args.r_max
+    _check_int("r_max", r_max, 0, inf)  # refused before a column is stepped
+    rows = _count_rows(args.n_max, r_max)
+    next(rows)  # (0, 0, 1): the table starts at n = 1
+    for text in _table_text(rows, args.format):
+        _write_all(text)
+    if args.format == "json":
+        _write_all("\n")
     return 0
 
 

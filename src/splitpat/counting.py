@@ -17,6 +17,12 @@ falling factorials from ``math.comb`` and ``math.perm``; nothing here
 touches floating point, so every table entry is bit-exact no matter how
 large.
 
+The table is a stream of rows, ``_count_rows``: row n starts the column of
+s = n and steps each column once per row it gives, so the stream holds
+O(n_max) integers, never the table.  ``_table_text`` is its one CSV/JSON
+formatter, for ``CountTable`` and the ``table`` command alike, and it
+yields text in pieces, so the command never holds the whole text either.
+
 The classes themselves come as a stream of blocks from ``_avoider_blocks``,
 built by the oracle's characterization instead of filtering S_n, so its
 cost follows the class size, not n!.  It is the one checked entry to the
@@ -27,7 +33,7 @@ at once (ROADMAP item 6).
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from itertools import combinations, permutations, repeat
 from math import comb, factorial, inf, perm
 
@@ -367,6 +373,35 @@ def check_excess_recursion(order: int) -> list[tuple[int, int]]:
     return violations
 
 
+def _count_rows(n_max: int, r_max: int) -> Iterator[tuple[int, int, int]]:
+    """Yield ``(r, n, avoider_count(r, n))`` for 0 <= r <= min(n, r_max),
+    n <= n_max, in (n, r) order, (0, 0, 1) first.  Row n starts the column
+    of s = n and steps each column it reads once, so the stream holds
+    O(n_max) ints; no column is stepped past r_max."""
+    columns = []
+    for n in range(n_max + 1):
+        columns.append(_count_column(n, min(r_max, n_max - n)))
+        for r in range(min(n, r_max) + 1):
+            yield r, n, next(columns[n - r])
+
+
+def _table_text(rows: Iterable[tuple[int, int, int]], fmt: str) -> Iterator[str]:
+    """The text of ``rows`` in ``fmt``, in pieces of about 64 KB.  "csv" is
+    an ``r,n,k`` header and a line per row; "json" is what ``json.dumps``
+    gives for the list of ``{"r": r, "n": n, "k": str(k)}``, with no final
+    newline.  Counts are decimal strings in JSON so that consumers with
+    fixed integer widths can still read large factorials."""
+    csv = fmt == "csv"
+    pieces, size, sep = ["r,n,k\n" if csv else "["], 0, ""
+    for r, n, k in rows:
+        pieces.append(f"{r},{n},{k}\n" if csv else f'{sep}{{"r": {r}, "n": {n}, "k": "{k}"}}')
+        sep, size = ", ", size + len(pieces[-1])
+        if size >= 1 << 16:
+            yield "".join(pieces)
+            pieces, size = [], 0
+    yield "".join(pieces) + ("" if csv else "]")
+
+
 class CountTable(_Record):
     """Avoidance counts for every 0 <= r <= n <= n_max.
 
@@ -391,26 +426,17 @@ class CountTable(_Record):
         return out
 
     def to_csv(self, r_max: int | None = None) -> str:
-        lines = ["r,n,k"]
-        lines.extend(f"{r},{n},{k}" for r, n, k in self.rows(r_max))
-        return "\n".join(lines) + "\n"
+        return "".join(_table_text(self.rows(r_max), "csv"))
 
     def to_json(self, r_max: int | None = None) -> str:
-        # Counts are serialized as decimal strings so consumers with fixed
-        # integer widths can still read large factorials.
-        import json  # on use: see cli.cmd_check
-        return json.dumps(
-            [{"r": r, "n": n, "k": str(k)} for r, n, k in self.rows(r_max)]
-        )
+        return "".join(_table_text(self.rows(r_max), "json"))
 
 
 def build_count_table(n_max: int) -> CountTable:
-    """Counts for all 0 <= r <= n <= n_max, one ``_count_column`` per n - r.
+    """Counts for all 0 <= r <= n <= n_max, read off ``_count_rows``.
 
     The integer excess recursion is the independent check on these values;
     the tests compare the two on every cell with n <= 100.
     """
     _check_int("n_max", n_max, 1, inf)
-    columns = (_count_column(s, n_max - s) for s in range(n_max + 1))
-    entries = {(r, r + s): k for s, column in enumerate(columns) for r, k in enumerate(column)}
-    return CountTable(entries)
+    return CountTable({(r, n): k for r, n, k in _count_rows(n_max, n_max)})

@@ -5,7 +5,7 @@ not a tolerance issue."""
 from __future__ import annotations
 
 from collections import Counter
-from itertools import compress, permutations
+from itertools import compress, permutations, repeat
 from math import comb, factorial, inf, perm
 
 from .counting import (
@@ -73,9 +73,12 @@ def structure_checks(n_max: int, limit: int = DEFAULT_SEARCH_LIMIT) -> list[Chec
     """Structural facts about the avoidance classes, swept from S_n for all
     n <= n_max and all r; a failure names the first failing (r, n), n then
     r.  Refuses n_max > limit before any sweep.  Each class is a list of
-    indices into one list of S_n per size; ``_remove_max`` and
-    ``_rotate180`` run once per permutation, as index maps into S_{n-1} and
-    S_n, with None for an image off them.  Sizes below n - 1 are dropped."""
+    indices into one list of S_n per size, filtered from the indices as the
+    predicate runs, so no list of S_n's size is built per r.  ``_remove_max``
+    and ``_rotate180`` run once per permutation, as index maps into S_{n-1}
+    and S_n, with -1, which no class holds, for an image off them.  Rotation
+    is one comparison of a class's sorted images with its mirror class, so
+    no class is copied into a set.  Sizes below n - 1 are dropped."""
     _check_int("n_max", n_max, 1, inf)
     _check_limit(n_max, limit)
     rank: dict[tuple[int, ...], int] = {(): 0}
@@ -85,9 +88,9 @@ def structure_checks(n_max: int, limit: int = DEFAULT_SEARCH_LIMIT) -> list[Chec
         perms = list(permutations(range(1, n + 1)))
         ids = list(range(len(perms)))
         smaller_rank, rank = rank, dict(zip(perms, ids))
-        smaller_classes, classes = classes, [list(compress(ids, [_avoids(w, r) for w in perms])) for r in range(n + 1)]
-        down = [smaller_rank.get(_remove_max(w)) for w in perms]
-        rotated = [rank.get(_rotate180(w)) for w in perms]
+        smaller_classes, classes = classes, [list(compress(ids, map(_avoids, perms, repeat(r)))) for r in range(n + 1)]
+        down = [smaller_rank.get(_remove_max(w), -1) for w in perms]
+        rotated = [rank.get(_rotate180(w), -1) for w in perms]
         top = [w.index(n) for w in perms]  # the position of the max
         for r in range(n + 1):
             members = classes[r]
@@ -96,11 +99,11 @@ def structure_checks(n_max: int, limit: int = DEFAULT_SEARCH_LIMIT) -> list[Chec
                 "split": len(max_left) == max_left_avoider_count(r, n) and len(members) == avoider_count(r, n),
             }
             if r <= n - r:
-                # A bijection from (r, n) onto (n - r, n) by the involution
-                # _rotate180 is inverted by _rotate180 itself, so the pair's
+                # The mirror class is sorted and has no repeats, so the sorted
+                # images equal it exactly when they are distinct and fill it:
+                # a bijection.  _rotate180 is an involution, so the pair's
                 # other direction needs no check of its own.
-                mirror = classes[n - r]
-                found["rotate"] = len(members) == len(mirror) and {rotated[i] for i in members} == set(mirror)
+                found["rotate"] = sorted(rotated[i] for i in members) == classes[n - r]
             if r < n:
                 fibers = Counter(down[i] for i in members if top[i] >= r)
                 found["fibers"] = fibers == dict.fromkeys(smaller_classes[r], n - r)

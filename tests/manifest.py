@@ -109,7 +109,7 @@ def main(argv=None):
     failed = 0
     for pin in pins:
         why, seconds, peak_mb = run(pin)
-        line = f"{'FAILED' if why else 'ok':6} {seconds:6.2f} s {peak_mb:4.0f} MB"
+        line = f"{'FAILED' if why else 'ok':6} {seconds:6.2f} s {peak_mb:6.1f} MB"
         line += f"  line {pin.line}: {' '.join(pin.argv)}"
         print(f"{line}: {why}" if why else line, flush=True)
         failed += bool(why)

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -61,6 +62,26 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def traced_peak_kib(fn, *args):
+    """The peak of Python's own allocations while ``fn(*args)`` runs, in KiB."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] / 1024
+    finally:
+        tracemalloc.stop()
+
+
+class DiscardingStdout:
+    """A stdout with no binary layer that drops what it is given."""
+
+    def writelines(self, pieces):
+        pass
+
+    def flush(self):
+        pass
+
+
 def assert_closed_reader_exits_quietly(argv, head):
     """Run the command, read ``head`` off its stdout and close the pipe: it
     must exit 1 with nothing on stderr, with stdout buffered and unbuffered
@@ -111,13 +132,24 @@ class TestTable:
         assert "error" in err
 
     def test_bad_r_max_is_refused_before_the_table_is_built(self, capsys, monkeypatch):
-        def build(n_max):
-            raise AssertionError("build_count_table ran before --r-max was checked")
+        def rows(n_max, r_max):
+            raise AssertionError("the table's columns were started before --r-max was checked")
 
-        monkeypatch.setattr(splitpat.cli, "build_count_table", build)
+        monkeypatch.setattr(splitpat.cli, "_count_rows", rows)
         code, out, err = run(capsys, "table", "--n-max", "100", "--r-max", "-1")
         assert (code, out) == (2, "")
         assert err == "splitpat: error: --r-max must be an int >= 0, got -1\n"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_table_streams_its_rows(self, monkeypatch, fmt):
+        # The text is about 460 KB as CSV and 580 KB as JSON; a dict of the
+        # table and the whole text peaked at 2.8 and 5.8 MB.  Streamed, the
+        # peak is one chunk of text and a column per n.  A first, small
+        # table runs before the measure, so argparse's one-time setup is
+        # not counted.
+        monkeypatch.setattr(sys, "stdout", DiscardingStdout())
+        assert main(["table", "--n-max", "1", "--format", fmt]) == 0
+        assert traced_peak_kib(main, ["table", "--n-max", "100", "--format", fmt]) < 512
 
     def test_unknown_format_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "table", "--n-max", "3", "--format", "lines")
@@ -688,6 +720,11 @@ class TestVerify:
         for n, size in enumerate([1, 2, 6, 24, 120], start=1):
             assert calls["_avoids", n] == (n + 1) * size, n
             assert calls["_remove_max", n] == calls["_rotate180", n] == size, n
+
+    def test_structure_suite_holds_no_class_sized_set(self):
+        # S_7 and its maps take about 1.6 MB; a bool list per r and two
+        # sets per rotation pair raised the peak to 2.7 MB.
+        assert traced_peak_kib(splitpat.verify.structure_checks, 7) < 2048
 
     @pytest.mark.parametrize("suite", ["oracle_checks", "structure_checks"])
     def test_exhaustive_suite_refuses_before_sweeping(self, monkeypatch, suite):

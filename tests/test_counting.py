@@ -441,6 +441,39 @@ class TestCountTable:
         assert all(isinstance(entry["k"], str) for entry in data)
         assert [entry["n"] for entry in data] == sorted(entry["n"] for entry in data)
 
+    @pytest.mark.parametrize("n_max", [1, 2, 7, 12])
+    def test_row_stream_is_the_double_sum_cut_at_r_max(self, monkeypatch, n_max):
+        # Rows in (n, r) order, and each column stepped only for the rows
+        # it gives: no count past r_max is computed.
+        real, steps = splitpat.counting._count_column, []
+
+        def counted(s, r_max):
+            for k in real(s, r_max):
+                steps.append(s)
+                yield k
+
+        monkeypatch.setattr(splitpat.counting, "_count_column", counted)
+        for r_max in range(n_max + 3):
+            steps.clear()
+            expected = [(r, n, avoider_count(r, n)) for n in range(n_max + 1) for r in range(min(n, r_max) + 1)]
+            assert list(splitpat.counting._count_rows(n_max, r_max)) == expected
+            assert len(steps) == len(expected)
+
+    @pytest.mark.parametrize("n_max", [1, 3, 100])
+    def test_text_is_what_json_dumps_and_the_csv_layout_print(self, n_max):
+        # At n_max = 100 the text spans several pieces of about 64 KB.
+        table = build_count_table(n_max)
+        rows = table.rows()
+        pieces = list(splitpat.counting._table_text(rows, "json"))
+        assert "".join(pieces) == table.to_json() == json.dumps([{"r": r, "n": n, "k": str(k)} for r, n, k in rows])
+        assert max(map(len, pieces)) < (1 << 16) + 200
+        assert table.to_csv() == "".join(f"{r},{n},{k}\n" for r, n, k in [("r", "n", "k"), *rows])
+        assert (len(pieces) > 1) == (n_max == 100)
+
+    def test_an_empty_table_prints_its_header_only(self):
+        table = splitpat.counting.CountTable({(0, 0): 1})
+        assert (table.to_csv(), table.to_json()) == ("r,n,k\n", "[]")
+
     def test_rejects_nonpositive_n_max(self):
         for n_max in (0, -1, True, 3.0):
             with pytest.raises(ValueError):

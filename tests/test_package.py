@@ -176,9 +176,10 @@ print(code, "json" in sys.modules, file=sys.stderr)
     [
         (("verify", "--target", "fibers", "--n-max", "4"), 0, False),
         (("enumerate", "--r", "2", "--n", "4"), 0, False),
+        (("table", "--n-max", "3", "--format", "json"), 0, False),
         (("check", "--perm", "312", "--r", "1"), 1, True),
     ],
-    ids=["verify-fibers", "enumerate", "check"],
+    ids=["verify-fibers", "enumerate", "table-json", "check"],
 )
 def test_json_is_imported_only_by_the_commands_that_print_it(argv, code, loaded):
     proc = subprocess.run(
