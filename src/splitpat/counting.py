@@ -410,26 +410,17 @@ class CountTable(_Record):
 
     __slots__ = ("entries",)
 
-    def rows(
-        self, r_max: int | None = None
-    ) -> list[tuple[int, int, int]]:
-        """(r, n, count) triples with n >= 1 sorted by (n, r), optionally
-        only those with r <= r_max."""
-        if r_max is not None:
-            _check_int("r_max", r_max, 0, inf)
-        out = [
-            (r, n, k)
-            for (r, n), k in self.entries.items()
-            if n >= 1 and (r_max is None or r <= r_max)
-        ]
+    def rows(self) -> list[tuple[int, int, int]]:
+        """(r, n, count) triples with n >= 1 sorted by (n, r)."""
+        out = [(r, n, k) for (r, n), k in self.entries.items() if n >= 1]
         out.sort(key=lambda row: (row[1], row[0]))
         return out
 
-    def to_csv(self, r_max: int | None = None) -> str:
-        return "".join(_table_text(self.rows(r_max), "csv"))
+    def to_csv(self) -> str:
+        return "".join(_table_text(self.rows(), "csv"))
 
-    def to_json(self, r_max: int | None = None) -> str:
-        return "".join(_table_text(self.rows(r_max), "json"))
+    def to_json(self) -> str:
+        return "".join(_table_text(self.rows(), "json"))
 
 
 def build_count_table(n_max: int) -> CountTable:

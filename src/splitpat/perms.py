@@ -274,13 +274,8 @@ def remove_max(w: Permutation) -> Permutation:
     """
     if not w.values:
         raise ValueError("cannot remove from the empty permutation")
-    return Permutation(_remove_max(w.values))
-
-
-def _remove_max(vals: tuple[int, ...]) -> tuple[int, ...]:
-    """``remove_max`` on the raw tuple of a nonempty permutation."""
-    i = vals.index(len(vals))
-    return vals[:i] + vals[i + 1 :]
+    i = w.values.index(w.n)
+    return Permutation(w.values[:i] + w.values[i + 1 :])
 
 
 def rotate180(w: Permutation) -> Permutation:

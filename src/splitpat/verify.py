@@ -5,7 +5,7 @@ not a tolerance issue."""
 from __future__ import annotations
 
 from collections import Counter
-from itertools import compress, permutations, repeat
+from itertools import compress, repeat
 from math import comb, factorial, inf, perm
 
 from .counting import (
@@ -18,7 +18,7 @@ from .counting import (
     check_excess_recursion,
     max_left_avoider_count,
 )
-from .perms import BadInputError, _avoids, _check_int, _remove_max, _rotate180
+from .perms import BadInputError, _avoids, _check_int, _rotate180
 from .series import (
     BivariateSeries,
     Check,
@@ -72,29 +72,27 @@ _STRUCTURE_FACTS = {
 def structure_checks(n_max: int, limit: int = DEFAULT_SEARCH_LIMIT) -> list[Check]:
     """Structural facts about the avoidance classes, swept from S_n for all
     n <= n_max and all r; a failure names the first failing (r, n), n then
-    r.  Refuses n_max > limit before any sweep.  Each class is a list of
-    indices into one list of S_n per size, filtered from the indices as the
-    predicate runs, so no list of S_n's size is built per r.  ``_remove_max``
-    and ``_rotate180`` run once per permutation, as index maps into S_{n-1}
-    and S_n, with -1, which no class holds, for an image off them.  Rotation
-    is one comparison of a class's sorted images with its mirror class, so
-    no class is copied into a set.  Sizes below n - 1 are dropped."""
+    r.  Refuses n_max > limit before any sweep.  S_n is S_{n-1} with n
+    inserted at each position, so index i holds index i // n of S_{n-1}
+    with its max at position i % n: remove-max is arithmetic on the index.
+    Each class is a list of indices into S_n, filtered as the predicate
+    runs.  ``_rotate180`` runs once per permutation, as an index map into
+    S_n (-1, in no class, for an image off it) built through a rank dict
+    that lives only for that map.  Rotation compares a class's sorted
+    images with its mirror class.  Sizes below n - 1 are dropped."""
     _check_int("n_max", n_max, 1, inf)
     _check_limit(n_max, limit)
-    rank: dict[tuple[int, ...], int] = {(): 0}
+    perms: list[tuple[int, ...]] = [()]
     classes = [[0]]  # S_0's one class: the empty permutation avoids both patterns
     failures: dict[str, str] = {}
     for n in range(1, n_max + 1):
-        perms = list(permutations(range(1, n + 1)))
+        perms = [u[:p] + (n,) + u[p:] for u in perms for p in range(n)]
         ids = list(range(len(perms)))
-        smaller_rank, rank = rank, dict(zip(perms, ids))
         smaller_classes, classes = classes, [list(compress(ids, map(_avoids, perms, repeat(r)))) for r in range(n + 1)]
-        down = [smaller_rank.get(_remove_max(w), -1) for w in perms]
-        rotated = [rank.get(_rotate180(w), -1) for w in perms]
-        top = [w.index(n) for w in perms]  # the position of the max
+        rotated = list(map(dict(zip(perms, ids)).get, map(_rotate180, perms), repeat(-1)))
         for r in range(n + 1):
             members = classes[r]
-            max_left = [i for i in members if top[i] < r]
+            max_left = [i for i in members if i % n < r]
             found = {
                 "split": len(max_left) == max_left_avoider_count(r, n) and len(members) == avoider_count(r, n),
             }
@@ -105,11 +103,11 @@ def structure_checks(n_max: int, limit: int = DEFAULT_SEARCH_LIMIT) -> list[Chec
                 # other direction needs no check of its own.
                 found["rotate"] = sorted(rotated[i] for i in members) == classes[n - r]
             if r < n:
-                fibers = Counter(down[i] for i in members if top[i] >= r)
+                fibers = Counter(i // n for i in members if i % n >= r)
                 found["fibers"] = fibers == dict.fromkeys(smaller_classes[r], n - r)
             if r >= 1:
                 smaller = set(smaller_classes[r - 1])
-                found["peel-left"] = all(down[i] in smaller for i in max_left)
+                found["peel-left"] = all(i // n in smaller for i in max_left)
             if 0 < r < n:
                 found["partition"] = Counter(min(perms[i][r:]) for i in max_left) == {
                     i: comb(n - i - 1, r - i) * perm(r, i - 1) for i in range(1, r + 1)

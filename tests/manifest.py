@@ -12,12 +12,16 @@ Each runs as ``python -m splitpat.cli <argv...>`` with stdin from /dev/null.
 A line fails on a different stdout hash or exit code, at ``<seconds>`` of
 wall time, or at a peak RSS of ``CEILING_MB``.  The script exits 1 if any
 line fails, or if the manifest has no ``ci`` line.  Linux only: the peak is
-the child's ``ru_maxrss`` from ``os.wait4``, in KiB.
+the child's ``ru_maxrss`` from ``os.wait4``, in KiB.  Linux carries the
+spawning process's peak into a child's ``ru_maxrss`` across exec, so each
+command is spawned by ``SPAWNER``, a small ``python -S`` process that
+reports the command's exit code and peak, not by the runner itself.
 """
 
 import hashlib
 import os
 import re
+import signal
 import subprocess
 import sys
 import threading
@@ -29,6 +33,15 @@ MANIFEST = Path(__file__).parent / "golden" / "stdout.sha256"
 SRC = Path(__file__).resolve().parents[1] / "src"
 CEILING_MB = 200
 CHUNK = 1 << 16
+# Run as ``python -S -c SPAWNER <fd> <argv...>``: spawn argv with the same
+# stdin, stdout and stderr, then write "<exit code> <peak KiB>" to fd.
+SPAWNER = """\
+import os, sys
+fd = int(sys.argv[1])
+pid = os.posix_spawn(sys.argv[2], sys.argv[2:], os.environ, file_actions=[(os.POSIX_SPAWN_CLOSE, fd)])
+_, status, usage = os.wait4(pid, 0)
+os.write(fd, b"%d %d" % (os.waitstatus_to_exitcode(status), usage.ru_maxrss))
+"""
 
 
 class Pin(NamedTuple):
@@ -68,25 +81,30 @@ def run(pin):
     """Run one ``ci`` pin end to end: return why it failed (empty if it
     passed), its wall time in seconds and its peak RSS in MB."""
     start = time.monotonic()
+    read_fd, write_fd = os.pipe()
     proc = subprocess.Popen(
-        [sys.executable, "-m", "splitpat.cli", *pin.argv],
+        [sys.executable, "-S", "-c", SPAWNER, str(write_fd), sys.executable, "-m", "splitpat.cli", *pin.argv],
         stdin=subprocess.DEVNULL,
         stdout=subprocess.PIPE,
         env={**os.environ, "PYTHONPATH": str(SRC)},
+        pass_fds=[write_fd],
+        start_new_session=True,  # so a timeout kills the command too
     )
-    timer = threading.Timer(pin.timeout, proc.kill)
+    os.close(write_fd)
+    timer = threading.Timer(pin.timeout, os.killpg, [proc.pid, signal.SIGKILL])
     timer.start()
-    # A child's peak counts the runner's own RSS at the fork, so stdout is
-    # hashed as it streams and never held.
     digest = hashlib.sha256()
     with proc.stdout:
         while chunk := proc.stdout.read(CHUNK):
             digest.update(chunk)
     timer.cancel()
     timer.join()
-    _, status, usage = os.wait4(proc.pid, 0)
-    proc.returncode = code = os.waitstatus_to_exitcode(status)
-    seconds, peak_mb = time.monotonic() - start, usage.ru_maxrss / 1024
+    with os.fdopen(read_fd) as report:
+        fields = report.read().split()
+    status = proc.wait()
+    # A spawner killed at the timeout reports nothing; its own status stands.
+    code, peak_kib = map(int, fields) if fields else (status, 0)
+    seconds, peak_mb = time.monotonic() - start, peak_kib / 1024
     failures = [
         why
         for failed, why in [

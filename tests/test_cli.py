@@ -72,6 +72,12 @@ def traced_peak_kib(fn, *args):
         tracemalloc.stop()
 
 
+def swap_member(out, into, at):
+    """A corruption of ``_avoids`` that takes ``out`` from the class at
+    r = ``at`` and puts ``into`` in its place, so the class keeps its size."""
+    return lambda original: lambda w, r: w == into if r == at and w in (out, into) else original(w, r)
+
+
 class DiscardingStdout:
     """A stdout with no binary layer that drops what it is given."""
 
@@ -622,25 +628,31 @@ class TestVerify:
                 {"rotate": "rotation image wrong at (r,n)=(1,4)"},
             ),
             (
-                "_remove_max",
-                lambda original: lambda w: original(w)[::-1] if len(w) >= 5 else original(w),
+                # Both max-right at (1,4); the fiber over (1,2,3) loses one
+                # and (3,1,2), outside the class at (1,3), gains one.  The
+                # sizes hold, so split passes.
+                "_avoids",
+                swap_member((1, 2, 3, 4), (3, 1, 2, 4), 1),
                 {
-                    "fibers": "fiber sizes wrong at (r,n)=(1,5)",
-                    "peel-left": "max-left peel leaves the class at (r,n)=(3,5)",
+                    "fibers": "fiber sizes wrong at (r,n)=(1,4)",
+                    "rotate": "rotation image wrong at (r,n)=(1,4)",
                 },
             ),
             (
-                # Images outside S_n and S_{n-1} fail their facts, never raise.
+                # An image outside S_n fails its fact, never raises.
                 "_rotate180",
                 lambda original: lambda w: w + (0,) if len(w) >= 4 else original(w),
                 {"rotate": "rotation image wrong at (r,n)=(0,4)"},
             ),
             (
-                "_remove_max",
-                lambda original: lambda w: w if len(w) >= 5 else original(w),
+                # Both max-left at (2,4) and each its own rotation; peeling
+                # (3,4,1,2) gives (3,1,2), outside the class at (1,3), and the
+                # changed class at (2,4) is the fiber base of (2,5).
+                "_avoids",
+                swap_member((4, 2, 3, 1), (3, 4, 1, 2), 2),
                 {
-                    "fibers": "fiber sizes wrong at (r,n)=(0,5)",
-                    "peel-left": "max-left peel leaves the class at (r,n)=(1,5)",
+                    "fibers": "fiber sizes wrong at (r,n)=(2,5)",
+                    "peel-left": "max-left peel leaves the class at (r,n)=(2,4)",
                 },
             ),
             (
@@ -683,7 +695,7 @@ class TestVerify:
                 },
             ),
         ],
-        ids=["split", "rotate", "fibers-and-peel-left", "rotate-off-S_n", "remove-max-off-S_n-1", "partition", "sweep", "sweep-above-half", "sweep-at-half"],
+        ids=["split", "rotate", "swap-fibers-and-rotate", "rotate-off-S_n", "swap-peel-left-and-fibers", "partition", "sweep", "sweep-above-half", "sweep-at-half"],
     )
     def test_structure_suite_names_the_first_failing_cell(
         self, monkeypatch, name, corrupt, failures
@@ -698,7 +710,10 @@ class TestVerify:
 
     def test_structure_suite_maps_each_permutation_once_per_size(self, monkeypatch):
         # The predicate still sees every (w, r) with w in S_n, 1 <= n <= 5,
-        # but each map runs once per permutation, and the builder never.
+        # rotation runs once per permutation, and the builder never.  The
+        # remove-max image is read off the index, so no map computes it.
+        assert not hasattr(splitpat.verify, "_remove_max")
+        assert not hasattr(splitpat.verify, "permutations")
         calls = Counter()
 
         def counted(name):
@@ -713,16 +728,16 @@ class TestVerify:
         def forbidden(*args):
             raise AssertionError("the structure suite read the class builder")
 
-        for name in ("_avoids", "_remove_max", "_rotate180"):
+        for name in ("_avoids", "_rotate180"):
             monkeypatch.setattr(splitpat.verify, name, counted(name))
         monkeypatch.setattr(splitpat.counting, "_chain_orderings", forbidden)
         assert all(c.passed for c in splitpat.verify.structure_checks(5))
         for n, size in enumerate([1, 2, 6, 24, 120], start=1):
             assert calls["_avoids", n] == (n + 1) * size, n
-            assert calls["_remove_max", n] == calls["_rotate180", n] == size, n
+            assert calls["_rotate180", n] == size, n
 
     def test_structure_suite_holds_no_class_sized_set(self):
-        # S_7 and its maps take about 1.6 MB; a bool list per r and two
+        # S_7 and its maps take about 1.4 MB; a bool list per r and two
         # sets per rotation pair raised the peak to 2.7 MB.
         assert traced_peak_kib(splitpat.verify.structure_checks, 7) < 2048
 

@@ -427,14 +427,6 @@ class TestCountTable:
             "2,2,2",
         ]
 
-    def test_csv_filters(self):
-        text = build_count_table(9).to_csv(r_max=4)
-        rows = text.splitlines()[1:]
-        assert len(rows) == len(TABLE1) == 39
-        for row in rows:
-            r, n, k = (int(part) for part in row.split(","))
-            assert TABLE1[(r, n)] == k
-
     def test_json_uses_decimal_strings(self):
         data = json.loads(build_count_table(3).to_json())
         assert data[0] == {"r": 0, "n": 1, "k": "1"}
@@ -478,14 +470,6 @@ class TestCountTable:
         for n_max in (0, -1, True, 3.0):
             with pytest.raises(ValueError):
                 build_count_table(n_max)
-
-    def test_rejects_bad_r_max(self):
-        table = build_count_table(3)
-        for r_max in (-1, 1.0, True):
-            with pytest.raises(ValueError):
-                table.rows(r_max=r_max)
-        with pytest.raises(ValueError):
-            table.to_csv(r_max=-1)
 
 
 class TestFiberStructure:

@@ -25,6 +25,25 @@ def test_runner_passes_on_matching_lines(tmp_path, capsys):
     assert out[0].endswith("line 3: count --r 2 --n 5")
 
 
+def test_a_line_peaks_at_its_own_size_not_the_runners(tmp_path):
+    # Linux carries a spawning process's peak RSS into its child across
+    # exec, so a command spawned by the runner itself would read at least
+    # the runner's 64 MB of ballast; the count alone peaks near 15 MB.
+    ballast = b"x" * (64 << 20)
+    (pin,) = manifest.read(write(tmp_path, COUNT))
+    why, _, peak_mb = manifest.run(pin)
+    assert len(ballast) == 64 << 20
+    assert why == "" and peak_mb < 32
+
+
+def test_a_line_past_its_timeout_is_killed_with_its_spawner(tmp_path):
+    # The corollary count runs for seconds; the runner must not wait for it.
+    line = COUNT.replace("ci:30 count --r 2 --n 5", "ci:1 count --r 2000 --n 4000 --method corollary")
+    (pin,) = manifest.read(write(tmp_path, line))
+    why, seconds, _ = manifest.run(pin)
+    assert why.startswith("timed out at 1 s; exit code -9") and seconds < 2.5
+
+
 @pytest.mark.parametrize(
     "lines, why",
     [
