@@ -19,18 +19,8 @@ import os
 import sys
 from math import inf
 
-from .counting import (
-    DEFAULT_SEARCH_LIMIT,
-    SearchLimitError,
-    _avoider_blocks,
-    _count_column,
-    _count_rows,
-    _table_text,
-    avoider_count_by_peeling,
-    brute_count,
-)
-from .perms import BadInputError, _check_int, contains_split, parse_permutation
-from .verify import TARGETS, run_target
+from . import counting, verify
+from .perms import DEFAULT_SEARCH_LIMIT, BadInputError, SearchLimitError, _check_int, contains_split, parse_permutation
 
 
 # The option that supplies each argument the library checks, by the
@@ -93,9 +83,9 @@ def cmd_table(args: argparse.Namespace) -> int:
     _check_int("n_max", args.n_max, 1, 100)
     r_max = args.n_max if args.r_max is None else args.r_max
     _check_int("r_max", r_max, 0, inf)  # refused before a column is stepped
-    rows = _count_rows(args.n_max, r_max)
+    rows = counting._count_rows(args.n_max, r_max)
     next(rows)  # (0, 0, 1): the table starts at n = 1
-    for text in _table_text(rows, args.format):
+    for text in counting._table_text(rows, args.format):
         _write_all(text)
     if args.format == "json":
         _write_all("\n")
@@ -106,12 +96,12 @@ def cmd_count(args: argparse.Namespace) -> int:
     if args.method == "formula":
         _check_int("n", args.n, 0, inf)
         _check_int("r", args.r, 0, args.n)
-        for value in _count_column(args.n - args.r, args.r):  # keeps the last
+        for value in counting._count_column(args.n - args.r, args.r):  # keeps the last
             pass
     elif args.method == "corollary":
-        value = avoider_count_by_peeling(args.r, args.n)
+        value = counting.avoider_count_by_peeling(args.r, args.n)
     else:
-        value = brute_count(args.r, args.n, limit=args.unsafe_n_max)
+        value = counting.brute_count(args.r, args.n, limit=args.unsafe_n_max)
     _write_all(_decimal(value), "\n")
     return 0
 
@@ -132,19 +122,18 @@ def cmd_check(args: argparse.Namespace) -> int:
     w = parse_permutation(_perm_text(args.perm))
     witness_3_12, witness_23_1 = contains_split(w, args.r)
     avoids = witness_3_12 is None and witness_23_1 is None
-    import json  # on use: only check and the --format json output need it
-    witnesses = {
-        "avoids": avoids,
-        "fiber_bundle": avoids,
-        "witness_3_12": None if witness_3_12 is None else list(witness_3_12),
-        "witness_23_1": None if witness_23_1 is None else list(witness_23_1),
-    }
-    _write_all(json.dumps(witnesses), "\n")
+    # json.dumps of the verdict and the witnesses, written without json
+    verdict = "true" if avoids else "false"
+    text_3_12, text_23_1 = ("null" if p is None else f"[{', '.join(map(str, p))}]" for p in (witness_3_12, witness_23_1))
+    _write_all(
+        f'{{"avoids": {verdict}, "fiber_bundle": {verdict}, "witness_3_12": {text_3_12}, "witness_23_1": {text_23_1}}}',
+        "\n",
+    )
     return 0 if avoids else 1
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    blocks = _avoider_blocks(args.r, args.n, args.unsafe_n_max)  # checked before n sizes anything
+    blocks = counting._avoider_blocks(args.r, args.n, args.unsafe_n_max)  # checked before n sizes anything
     if args.format == "lines":
         quote, lead, sep, close = "", "", "\n", "\n"
     else:  # json.dumps of the list: digits and commas need no escapes
@@ -171,12 +160,12 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    checks, residual = run_target(
+    checks, residual = verify.run_target(
         args.target, order=args.order, n_max=args.n_max, limit=args.unsafe_n_max
     )
     passed = sum(1 for c in checks if c.passed)
     if args.format == "json":
-        import json  # see cmd_check
+        import json  # on use: only the --format json report needs it
         text = json.dumps(  # no name holds the report, so it is freed before the write
             {
                 "target": args.target,
@@ -240,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("--target", choices=TARGETS, required=True)
+    p.add_argument("--target", choices=verify.TARGETS, required=True)
     p.add_argument("--order", type=int, default=12, help="series window order (>= 2)")
     p.add_argument("--n-max", type=int, default=7, help="largest size for exhaustive targets")
     p.add_argument("--format", choices=("text", "json"), default="text")
@@ -251,9 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -39,7 +39,7 @@ from math import comb, factorial, inf, perm
 
 # Nothing here calls _avoids; the name stays bound because the benchmark's
 # tracer (perfbench/spans.py) replaces counting._avoids to count its calls.
-from .perms import Permutation, _Record, _avoids, _check_int
+from .perms import DEFAULT_SEARCH_LIMIT, Permutation, SearchLimitError, _Record, _avoids, _check_int, _check_limit
 
 __all__ = [
     "DEFAULT_SEARCH_LIMIT",
@@ -55,36 +55,6 @@ __all__ = [
     "CountTable",
     "build_count_table",
 ]
-
-# Sweeping 10! orderings, each tested in linear time, is the practical
-# ceiling for a desk machine: ``brute_count`` counts all n! orderings at
-# r = 0 and r = n, and ``enumerate_avoiders`` lists up to 986,410
-# members at n = 10.  Larger sizes must be requested explicitly.
-DEFAULT_SEARCH_LIMIT = 10
-
-
-class SearchLimitError(ValueError):
-    """Raised when a brute-force sweep would exceed the size guard.
-
-    It carries ``size`` and ``limit``, the refused size and the guard, so a
-    front end can name the guard in its own terms.
-    """
-
-    def __init__(self, size: int, limit: int) -> None:
-        super().__init__(
-            f"size {size} exceeds the exhaustive-search guard (limit={limit}); "
-            f"raise the limit explicitly to proceed"
-        )
-        self.size = size
-        self.limit = limit
-
-
-def _check_limit(n: int, limit: int) -> None:
-    # A malformed guard is bad input; only a valid one refuses a search.
-    _check_int("limit", limit, 0, inf)
-    if n > limit:
-        raise SearchLimitError(n, limit)
-
 
 def avoider_count(r: int, n: int) -> int:
     """Closed-form count of permutations in S_n avoiding both split

@@ -11,6 +11,9 @@ bundle.
 
 Positions and values are 1-based in every public interface, a witness is
 the tuple of its positions, and the empty permutation (n = 0) is valid.
+The refusals, the search guard and ``Check``, which every layer and the
+command-line parser share, live here too, so the parser needs no other
+layer; ``counting``, ``series`` and ``verify`` re-export what they list.
 """
 
 from __future__ import annotations
@@ -44,6 +47,29 @@ class BadInputError(ValueError):
         self.argument = argument
 
 
+# Sweeping 10! orderings, each tested in linear time, is the practical
+# ceiling for a desk machine: ``brute_count`` counts all n! orderings at
+# r = 0 and r = n, and ``enumerate_avoiders`` lists up to 986,410
+# members at n = 10.  Larger sizes must be requested explicitly.
+DEFAULT_SEARCH_LIMIT = 10
+
+
+class SearchLimitError(ValueError):
+    """Raised when a brute-force sweep would exceed the size guard.
+
+    It carries ``size`` and ``limit``, the refused size and the guard, so a
+    front end can name the guard in its own terms.
+    """
+
+    def __init__(self, size: int, limit: int) -> None:
+        super().__init__(
+            f"size {size} exceeds the exhaustive-search guard (limit={limit}); "
+            f"raise the limit explicitly to proceed"
+        )
+        self.size = size
+        self.limit = limit
+
+
 class _Record:
     """Base of the immutable value types.  A subclass names its fields in
     ``__slots__`` and sets them once, through ``_Record.__init__``; equality,
@@ -74,6 +100,16 @@ class _Record:
         raise AttributeError(f"{type(self).__name__} is immutable: cannot change {name!r}")
 
     __delattr__ = __setattr__
+
+
+class Check(_Record):
+    """Verdict of one exact check: a stable key, the statement checked and
+    a detail line."""
+
+    __slots__ = ("key", "name", "passed", "detail")
+
+    def __init__(self, key: str, name: str, passed: bool, detail: str = "") -> None:
+        super().__init__(key, name, passed, detail)
 
 
 class Permutation(_Record):
@@ -152,6 +188,13 @@ def _check_int(name: str, value: int, lo: int, hi: int) -> None:
     if type(value) is not int or not lo <= value <= hi:
         allowed = f">= {lo}" if hi == inf else f"in {lo}..{hi}"
         raise BadInputError(f"{name} must be an int {allowed}, got {value!r}", name)
+
+
+def _check_limit(n: int, limit: int) -> None:
+    # A malformed guard is bad input; only a valid one refuses a search.
+    _check_int("limit", limit, 0, inf)
+    if n > limit:
+        raise SearchLimitError(n, limit)
 
 
 def contains_split(

@@ -25,7 +25,7 @@ from math import comb, factorial, inf
 from operator import add, sub
 
 from .counting import _count_square
-from .perms import _Record, _check_int
+from .perms import Check, _Record, _check_int
 
 __all__ = [
     "BivariateSeries",
@@ -269,16 +269,6 @@ def excess_ogf(order: int) -> BivariateSeries:
     """Ordinary generating function of the normalized excess values
     count / (r! s!) - 1: cell count - r! s!."""
     return count_egf(order) - geometric_series(order)
-
-
-class Check(_Record):
-    """Verdict of one exact check: a stable key, the statement checked and
-    a detail line."""
-
-    __slots__ = ("key", "name", "passed", "detail")
-
-    def __init__(self, key: str, name: str, passed: bool, detail: str = "") -> None:
-        super().__init__(key, name, passed, detail)
 
 
 def _compare(

@@ -8,30 +8,8 @@ from collections import Counter
 from itertools import compress, repeat
 from math import comb, factorial, inf, perm
 
-from .counting import (
-    DEFAULT_SEARCH_LIMIT,
-    _check_limit,
-    avoider_count,
-    avoider_count_by_peeling,
-    brute_count,
-    build_count_table,
-    check_excess_recursion,
-    max_left_avoider_count,
-)
-from .perms import BadInputError, _avoids, _check_int, _rotate180
-from .series import (
-    BivariateSeries,
-    Check,
-    bessel_checks,
-    bessel_i0_series,
-    binomial_egf_series,
-    count_egf,
-    excess_ogf,
-    exp_sum_series,
-    geometric_series,
-    integrated_binomial_egf,
-    main2_checks,
-)
+from . import counting, series
+from .perms import DEFAULT_SEARCH_LIMIT, BadInputError, Check, _avoids, _check_int, _check_limit, _rotate180
 
 __all__ = ["Check", "TARGETS", "run_target"]
 
@@ -48,7 +26,8 @@ def oracle_checks(n_max: int, limit: int = DEFAULT_SEARCH_LIMIT) -> list[Check]:
         ok = True
         detail = ""
         for r in range(n + 1):
-            counts = {brute_count(r, n, limit=limit), avoider_count(r, n), avoider_count_by_peeling(r, n)}
+            counts = {counting.brute_count(r, n, limit=limit), counting.avoider_count(r, n),
+                      counting.avoider_count_by_peeling(r, n)}
             if len(counts) != 1:
                 ok = False
                 detail = f"disagreement at r={r}: {sorted(counts)}"
@@ -94,7 +73,8 @@ def structure_checks(n_max: int, limit: int = DEFAULT_SEARCH_LIMIT) -> list[Chec
             members = classes[r]
             max_left = [i for i in members if i % n < r]
             found = {
-                "split": len(max_left) == max_left_avoider_count(r, n) and len(members) == avoider_count(r, n),
+                "split": len(max_left) == counting.max_left_avoider_count(r, n)
+                and len(members) == counting.avoider_count(r, n),
             }
             if r <= n - r:
                 # The mirror class is sorted and has no repeats, so the sorted
@@ -131,17 +111,17 @@ def symmetry_checks(order: int) -> list[Check]:
     """Symmetry and lower bound of the closed-form counts, plus x/y symmetry
     of every named series."""
     _check_int("order", order, 2, inf)
-    counts = build_count_table(_COUNT_N_MAX).entries
+    counts = counting.build_count_table(_COUNT_N_MAX).entries
     count_sym = all(k == counts[(n - r, n)] for (r, n), k in counts.items())
     bound = all(k >= factorial(r) * factorial(n - r) for (r, n), k in counts.items())
-    named: dict[str, BivariateSeries] = {
-        "exp_sum": exp_sum_series(order),
-        "bessel_i0": bessel_i0_series(order),
-        "binomial_egf": binomial_egf_series(order),
-        "geometric": geometric_series(order),
-        "integrated_binomial_egf": integrated_binomial_egf(order),
-        "count_egf": count_egf(order),
-        "excess_ogf": excess_ogf(order),
+    named: dict[str, series.BivariateSeries] = {
+        "exp_sum": series.exp_sum_series(order),
+        "bessel_i0": series.bessel_i0_series(order),
+        "binomial_egf": series.binomial_egf_series(order),
+        "geometric": series.geometric_series(order),
+        "integrated_binomial_egf": series.integrated_binomial_egf(order),
+        "count_egf": series.count_egf(order),
+        "excess_ogf": series.excess_ogf(order),
     }
     asymmetric = sorted(name for name, s in named.items() if not s.is_symmetric())
     return [
@@ -157,7 +137,7 @@ def symmetry_checks(order: int) -> list[Check]:
 
 
 def recursion_checks(order: int) -> list[Check]:
-    violations = check_excess_recursion(order)
+    violations = counting.check_excess_recursion(order)
     return [
         Check(
             "recursion",
@@ -176,7 +156,7 @@ def run_target(
     order: int = 12,
     n_max: int = 7,
     limit: int = DEFAULT_SEARCH_LIMIT,
-) -> tuple[list[Check], BivariateSeries | None]:
+) -> tuple[list[Check], series.BivariateSeries | None]:
     """Run one verification target and return its checks plus, for the
     targets that compute it, the residual of the alternative exponential
     boundary choice.  Every target refuses an order below 2, an n_max below
@@ -199,9 +179,9 @@ def run_target(
     if target in ("recursion", "all"):
         checks += recursion_checks(order)
     if target in ("bessel", "all"):
-        checks += bessel_checks(order)
-    residual: BivariateSeries | None = None
+        checks += series.bessel_checks(order)
+    residual: series.BivariateSeries | None = None
     if target in ("main2", "all"):
-        found, residual = main2_checks(order)
+        found, residual = series.main2_checks(order)
         checks += found
     return checks, residual

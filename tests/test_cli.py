@@ -8,6 +8,7 @@ import sys
 import tracemalloc
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
+from itertools import permutations
 from pathlib import Path
 from unittest import mock
 
@@ -23,6 +24,7 @@ from splitpat import (
     BivariateSeries,
     CountTable,
     Permutation,
+    contains_split,
     is_avoider,
 )
 from splitpat.cli import main
@@ -141,7 +143,7 @@ class TestTable:
         def rows(n_max, r_max):
             raise AssertionError("the table's columns were started before --r-max was checked")
 
-        monkeypatch.setattr(splitpat.cli, "_count_rows", rows)
+        monkeypatch.setattr(splitpat.counting, "_count_rows", rows)
         code, out, err = run(capsys, "table", "--n-max", "100", "--r-max", "-1")
         assert (code, out) == (2, "")
         assert err == "splitpat: error: --r-max must be an int >= 0, got -1\n"
@@ -231,7 +233,7 @@ class TestCount:
         for start in range(0, len(digits), 100):
             chunk = digits[start : start + 100]
             value = value * 10 ** len(chunk) + int(chunk)
-        monkeypatch.setattr(splitpat.cli, "_count_column", lambda s, r_max: iter([value]))
+        monkeypatch.setattr(splitpat.counting, "_count_column", lambda s, r_max: iter([value]))
         cap = getattr(sys, "get_int_max_str_digits", lambda: None)()
         code, out, err = run(capsys, "count", "--r", "1", "--n", "2")
         assert (code, err) == (0, "")
@@ -304,6 +306,27 @@ class TestCheck:
         code, out, err = run(capsys, "check", "--perm", "1" * 5000 + ",1", "--r", "0")
         assert (code, out) == (2, "")
         assert "bad permutation text" in err
+
+    def test_line_is_what_json_dumps_prints(self, capsys):
+        # check writes its object without json.  Every (w, r) with n <= 4
+        # covers each witness shape: neither, 3|12 only, 23|1 only and both
+        # (2413 at r = 2).
+        shapes = set()
+        for n in range(5):
+            for values in permutations(range(1, n + 1)):
+                for r in range(n + 1):
+                    witness_3_12, witness_23_1 = contains_split(Permutation(values), r)
+                    avoids = witness_3_12 is None and witness_23_1 is None
+                    verdict = {
+                        "avoids": avoids,
+                        "fiber_bundle": avoids,
+                        "witness_3_12": None if witness_3_12 is None else list(witness_3_12),
+                        "witness_23_1": None if witness_23_1 is None else list(witness_23_1),
+                    }
+                    expected = (0 if avoids else 1, json.dumps(verdict) + "\n", "")
+                    assert run(capsys, "check", "--perm", _format_values(values), "--r", str(r)) == expected
+                    shapes.add((witness_3_12 is None, witness_23_1 is None))
+        assert len(shapes) == 4
 
 
 def _avoider_and_contained(n, r, seed):
@@ -570,43 +593,50 @@ class TestVerify:
             run_target(target, order=4, n_max=4, limit=limit)
 
     def test_symmetry_suite_flags_an_asymmetric_series_and_count(self, monkeypatch):
-        real_count_egf = splitpat.verify.count_egf
+        real_count_egf = splitpat.series.count_egf
         monkeypatch.setattr(
-            splitpat.verify,
+            splitpat.series,
             "count_egf",
             lambda order: real_count_egf(order) + BivariateSeries.from_fn(lambda r, s: r, order),
+        )
+        # excess_ogf reads count_egf through the same binding; kept on the
+        # real count, it leaves count_egf the only asymmetric series.
+        monkeypatch.setattr(
+            splitpat.series,
+            "excess_ogf",
+            lambda order: real_count_egf(order) - splitpat.series.geometric_series(order),
         )
         checks = {c.key: c for c in splitpat.verify.symmetry_checks(4)}
         assert [k for k, c in checks.items() if not c.passed] == ["series-symmetry"]
         assert checks["series-symmetry"].detail == "asymmetric: count_egf"
 
         monkeypatch.undo()
-        real_table = splitpat.verify.build_count_table
+        real_table = splitpat.counting.build_count_table
 
         def corrupted_table(n_max):
             entries = dict(real_table(n_max).entries)
             entries[(2, 5)] += 1
             return CountTable(entries)
 
-        monkeypatch.setattr(splitpat.verify, "build_count_table", corrupted_table)
+        monkeypatch.setattr(splitpat.counting, "build_count_table", corrupted_table)
         checks = splitpat.verify.symmetry_checks(4)
         assert [c.key for c in checks if not c.passed] == ["count-symmetry"]
 
     def test_oracle_flags_a_corrupted_closed_form(self, monkeypatch):
-        closed_form = splitpat.verify.avoider_count
+        closed_form = splitpat.counting.avoider_count
 
         def off_by_one_at_2_5(r, n):
             return closed_form(r, n) + ((r, n) == (2, 5))
 
-        monkeypatch.setattr(splitpat.verify, "avoider_count", off_by_one_at_2_5)
+        monkeypatch.setattr(splitpat.counting, "avoider_count", off_by_one_at_2_5)
         checks = splitpat.verify.oracle_checks(6)
         assert [c.passed for c in checks] == [True] * 5 + [False, True]
         assert checks[5].detail == "disagreement at r=2: [47, 48]"
 
     def test_oracle_flags_a_corrupted_peeling_count_at_r_zero(self, monkeypatch):
-        peeling = splitpat.verify.avoider_count_by_peeling
+        peeling = splitpat.counting.avoider_count_by_peeling
         monkeypatch.setattr(
-            splitpat.verify,
+            splitpat.counting,
             "avoider_count_by_peeling",
             lambda r, n: peeling(r, n) + ((r, n) == (0, 3)),
         )
@@ -702,7 +732,10 @@ class TestVerify:
     ):
         # Each corruption breaks its facts from some size on; the detail
         # names the first failing (r, n), n then r, and the other facts pass.
-        monkeypatch.setattr(splitpat.verify, name, corrupt(getattr(splitpat.verify, name)))
+        # The suite reads the counts through counting, the rest through its
+        # own names.
+        module = splitpat.counting if name in splitpat.counting.__all__ else splitpat.verify
+        monkeypatch.setattr(module, name, corrupt(getattr(module, name)))
         checks = splitpat.verify.structure_checks(6)
         assert [c.key for c in checks] == ["split", "fibers", "peel-left", "partition", "rotate"]
         assert {c.key: c.detail for c in checks if not c.passed} == failures
@@ -746,7 +779,7 @@ class TestVerify:
         def refuse(*args, **kwargs):
             raise AssertionError(f"{suite} swept below the guard")
 
-        monkeypatch.setattr(splitpat.verify, "brute_count", refuse)
+        monkeypatch.setattr(splitpat.counting, "brute_count", refuse)
         monkeypatch.setattr(splitpat.verify, "_avoids", refuse)
         with pytest.raises(SearchLimitError):
             getattr(splitpat.verify, suite)(4, limit=3)
@@ -768,13 +801,14 @@ class TestVerify:
         assert TARGETS == (*SUITE_OF_TARGET, "all")
         suite = SUITE_OF_TARGET[target]
         calls = []
-        original = getattr(splitpat.verify, suite)
+        module = splitpat.series if suite in splitpat.series.__all__ else splitpat.verify
+        original = getattr(module, suite)
 
         def counted(*args, **kwargs):
             calls.append(args)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(splitpat.verify, suite, counted)
+        monkeypatch.setattr(module, suite, counted)
         run_target(target, order=4, n_max=4)
         assert len(calls) == 1
         run_target("all", order=4, n_max=4)
@@ -840,7 +874,7 @@ class TestUsage:
         def broken(s, r_max):
             raise ValueError("internal fault")
 
-        monkeypatch.setattr(splitpat.cli, "_count_column", broken)
+        monkeypatch.setattr(splitpat.counting, "_count_column", broken)
         with pytest.raises(ValueError, match="internal fault"):
             main(["count", "--r", "1", "--n", "2"])
 

@@ -15,6 +15,7 @@ import pytest
 
 import splitpat
 from splitpat import BivariateSeries, Check, CountTable, Permutation, counting, perms, series, verify
+from splitpat.cli import build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -79,6 +80,29 @@ class TestSurface:
 
         assert bessel_checks is series.bessel_checks
         assert main2_checks is series.main2_checks
+
+    def test_dir_and_star_import_give_every_public_name(self):
+        namespace: dict = {}
+        exec("from splitpat import *", namespace)
+        assert {name: namespace.get(name) for name in splitpat.__all__} == {
+            name: getattr(splitpat, name) for name in splitpat.__all__
+        }
+        assert {*splitpat.__all__, "counting", "perms", "series", "verify"} <= set(dir(splitpat))
+        assert not hasattr(splitpat, "no_such_name")
+
+    def test_moved_names_are_the_same_objects(self):
+        # The guard and Check live in perms, which the parser needs alone;
+        # counting, series and verify re-export them, and perms.__all__
+        # does not list them.
+        assert counting.DEFAULT_SEARCH_LIMIT is perms.DEFAULT_SEARCH_LIMIT
+        assert counting.SearchLimitError is perms.SearchLimitError
+        assert series.Check is verify.Check is splitpat.Check is perms.Check
+        assert {"DEFAULT_SEARCH_LIMIT", "SearchLimitError", "Check"}.isdisjoint(perms.__all__)
+        commands = build_parser()._subparsers._group_actions[0].choices
+        guards = [a.default for p in commands.values() for a in p._actions if a.dest == "unsafe_n_max"]
+        assert len(guards) == 3 and all(guard is perms.DEFAULT_SEARCH_LIMIT for guard in guards)
+        (target,) = (a for a in commands["verify"]._actions if a.dest == "target")
+        assert target.choices is verify.TARGETS
 
     @pytest.mark.parametrize("name", DELETED)
     def test_deleted_names_are_gone(self, name):
@@ -162,6 +186,41 @@ def test_commands_start_without_heavy_imports(argv, code):
     assert proc.stderr.split() == [str(code)], proc.stderr
 
 
+# Runs one command, then prints its exit code and each lazy layer that ran.
+# A lazy module's own dict holds its globals only once it has run, and
+# object.__getattribute__ reads that dict without running it.
+LAYER_PROBE = """\
+import sys
+from splitpat.cli import main
+code = main(sys.argv[1:])
+ran = [m for m in ("counting", "series") if "__all__" in object.__getattribute__(sys.modules[f"splitpat.{m}"], "__dict__")]
+print(code, *ran, file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, code, ran",
+    [
+        (("check", "--perm", "315642", "--r", "3"), 1, []),
+        (("--help",), 0, []),
+        (("table", "--n-max", "5"), 0, ["counting"]),
+        (("count", "--r", "2", "--n", "5", "--method", "formula"), 0, ["counting"]),
+        (("enumerate", "--r", "1", "--n", "4"), 0, ["counting"]),
+        (("verify", "--target", "bessel", "--order", "4"), 0, ["counting", "series"]),
+    ],
+    ids=["check", "help", "table", "count", "enumerate", "verify-bessel"],
+)
+def test_commands_run_only_the_layers_they_call(argv, code, ran):
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", LAYER_PROBE, *argv],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.stderr.split() == [str(code), *ran], proc.stderr
+
+
 # Runs one command, then prints its exit code and whether it loaded json.
 JSON_PROBE = """\
 import sys
@@ -177,7 +236,7 @@ print(code, "json" in sys.modules, file=sys.stderr)
         (("verify", "--target", "fibers", "--n-max", "4"), 0, False),
         (("enumerate", "--r", "2", "--n", "4"), 0, False),
         (("table", "--n-max", "3", "--format", "json"), 0, False),
-        (("check", "--perm", "312", "--r", "1"), 1, True),
+        (("check", "--perm", "312", "--r", "1"), 1, False),
     ],
     ids=["verify-fibers", "enumerate", "table-json", "check"],
 )
