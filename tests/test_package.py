@@ -153,48 +153,16 @@ def test_reprs_name_every_field():
 
 
 HEAVY_MODULES = ("dataclasses", "inspect", "fractions", "decimal", "typing")
-# Runs one command, then prints its exit code and the heavy modules loaded.
+# Runs one command, then prints its exit code, the heavy modules loaded and,
+# after "|", each lazy layer that ran.  A lazy module's own dict holds its
+# globals only once it has run, and object.__getattribute__ reads that dict
+# without running it.
 PROBE = f"""\
 import sys
 from splitpat.cli import main
 code = main(sys.argv[1:])
-print(code, *sorted(set(sys.modules).intersection({HEAVY_MODULES!r})), file=sys.stderr)
-"""
-
-
-@pytest.mark.parametrize(
-    "argv, code",
-    [
-        (("check", "--perm", "315642", "--r", "3"), 1),
-        (("--help",), 0),
-        (("table", "--n-max", "5"), 0),
-        (("count", "--r", "2", "--n", "5", "--method", "brute"), 0),
-        (("enumerate", "--r", "1", "--n", "4"), 0),
-        (("verify", "--target", "recursion", "--order", "4"), 0),
-    ],
-    ids=["check", "help", "table", "count", "enumerate", "verify-recursion"],
-)
-def test_commands_start_without_heavy_imports(argv, code):
-    # -S: a site-packages .pth file may import typing before the program runs.
-    proc = subprocess.run(
-        [sys.executable, "-S", "-c", PROBE, *argv],
-        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
-    assert proc.stderr.split() == [str(code)], proc.stderr
-
-
-# Runs one command, then prints its exit code and each lazy layer that ran.
-# A lazy module's own dict holds its globals only once it has run, and
-# object.__getattribute__ reads that dict without running it.
-LAYER_PROBE = """\
-import sys
-from splitpat.cli import main
-code = main(sys.argv[1:])
-ran = [m for m in ("counting", "series") if "__all__" in object.__getattribute__(sys.modules[f"splitpat.{m}"], "__dict__")]
-print(code, *ran, file=sys.stderr)
+ran = [m for m in ("counting", "series") if "__all__" in object.__getattribute__(sys.modules[f"splitpat.{{m}}"], "__dict__")]
+print(code, *sorted(set(sys.modules).intersection({HEAVY_MODULES!r})), "|", *ran, file=sys.stderr)
 """
 
 
@@ -204,21 +172,24 @@ print(code, *ran, file=sys.stderr)
         (("check", "--perm", "315642", "--r", "3"), 1, []),
         (("--help",), 0, []),
         (("table", "--n-max", "5"), 0, ["counting"]),
+        (("count", "--r", "2", "--n", "5", "--method", "brute"), 0, ["counting"]),
         (("count", "--r", "2", "--n", "5", "--method", "formula"), 0, ["counting"]),
         (("enumerate", "--r", "1", "--n", "4"), 0, ["counting"]),
-        (("verify", "--target", "bessel", "--order", "4"), 0, ["counting", "series"]),
+        (("verify", "--target", "recursion", "--order", "4"), 0, ["counting"]),
+        (("verify", "--target", "symmetry", "--order", "4"), 0, ["counting", "series"]),
     ],
-    ids=["check", "help", "table", "count", "enumerate", "verify-bessel"],
+    ids=["check", "help", "table", "count", "count-formula", "enumerate", "verify-recursion", "verify-symmetry"],
 )
-def test_commands_run_only_the_layers_they_call(argv, code, ran):
+def test_commands_start_without_heavy_imports(argv, code, ran):
+    # -S: a site-packages .pth file may import typing before the program runs.
     proc = subprocess.run(
-        [sys.executable, "-S", "-c", LAYER_PROBE, *argv],
+        [sys.executable, "-S", "-c", PROBE, *argv],
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
         capture_output=True,
         text=True,
         timeout=60,
     )
-    assert proc.stderr.split() == [str(code), *ran], proc.stderr
+    assert proc.stderr.split() == [str(code), "|", *ran], proc.stderr
 
 
 # Runs one command, then prints its exit code and whether it loaded json.
