@@ -20,7 +20,7 @@ import sys
 from math import inf
 
 from . import counting, verify
-from .perms import DEFAULT_SEARCH_LIMIT, BadInputError, SearchLimitError, _check_int, contains_split, parse_permutation
+from .perms import DEFAULT_SEARCH_LIMIT, BadInputError, SearchLimitError, _check_int, _decimal, contains_split, parse_permutation
 
 
 # The option that supplies each argument the library checks, by the
@@ -41,20 +41,6 @@ def _usage_message(exc: BadInputError) -> str:
     if exc.argument not in _OPTIONS:
         return str(exc)
     return _OPTIONS[exc.argument] + str(exc)[len(exc.argument) :]
-
-
-# CPython 3.10.7 and later refuse str() of an int past a digit cap (4300 by
-# default, 640 at the lowest a user may set); 10**600 stays under any cap.
-_STR_SAFE = 10**600
-
-
-def _decimal(value: int) -> str:
-    """Decimal text of a nonnegative int of any size, whatever the cap."""
-    if value < _STR_SAFE:
-        return str(value)
-    k = value.bit_length() * 3 // 20  # about half of the decimal digits
-    high, low = divmod(value, 10**k)
-    return _decimal(high) + _decimal(low).zfill(k)
 
 
 def _write_all(*pieces: str) -> None:
@@ -134,28 +120,26 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
     blocks = counting._avoider_blocks(args.r, args.n, args.unsafe_n_max)  # checked before n sizes anything
-    if args.format == "lines":
-        quote, lead, sep, close = "", "", "\n", "\n"
-    else:  # json.dumps of the list: digits and commas need no escapes
-        quote, lead, sep, close = '"', "[", ", ", "]\n"
+    quote, sep, header = ("", "\n", "") if args.format == "lines" else ('"', ", ", None)  # digits and commas need no escapes
     comma = "," if args.n > 9 else ""  # the separator _format_values takes at size n
     text = list(map(str, range(args.n + 1))).__getitem__  # each value's text, made once
 
-    # Each head's members are joined in one step, and written in chunks of
-    # about 64 KB.  The class is never empty: the identity avoids both patterns.
-    chunk, size = [], 0
-    for head, tails in blocks:
-        if type(tails[0]) is tuple:  # the set's first head: its right blocks become text
-            for i, tail in enumerate(tails):  # in place, so no set is held twice; each leads with comma
-                tails[i] = comma.join(("", *map(text, tail))) + quote
-        head_text = quote + comma.join(map(text, head))
-        for i in range(0, len(tails), 4096):
-            chunk.append(head_text + (sep + head_text).join(tails[i : i + 4096]))
-            size += len(chunk[-1])
-            if size >= 1 << 16:
-                _write_all(lead + sep.join(chunk))
-                lead, chunk, size = sep, [], 0
-    _write_all((lead + sep.join(chunk) if chunk else "") + close)
+    def runs():  # each head's members, joined 4096 at a time
+        for head, tails in blocks:
+            if type(tails[0]) is tuple:  # the set's first head: its right blocks become text
+                for i, tail in enumerate(tails):  # in place, so no set is held twice; each leads with comma
+                    tails[i] = comma.join(("", *map(text, tail))) + quote
+            head_text = quote + comma.join(map(text, head))
+            if len(tails) <= 4096:
+                yield head_text + (sep + head_text).join(tails)
+            else:
+                for i in range(0, len(tails), 4096):
+                    yield head_text + (sep + head_text).join(tails[i : i + 4096])
+
+    for piece in counting._list_text(runs(), header):
+        _write_all(piece)
+    if header is None:
+        _write_all("\n")
     return 0
 
 
@@ -181,12 +165,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         )
         _write_all(text, "\n")
     else:
-        lines = [
-            f"{'PASS' if c.passed else 'FAIL'} {c.name}" + (f" [{c.detail}]" if c.detail else "")
-            for c in checks
-        ]
-        lines.append(f"summary: {passed}/{len(checks)} checks passed")
-        _write_all("\n".join(lines), "\n")
+        lines = (f"{'PASS' if c.passed else 'FAIL'} {c.name}" + (f" [{c.detail}]" if c.detail else "") for c in checks)
+        _write_all(*counting._list_text([*lines, f"summary: {passed}/{len(checks)} checks passed"], ""))
     return 0 if passed == len(checks) else 1
 
 

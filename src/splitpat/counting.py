@@ -20,8 +20,8 @@ large.
 The table is a stream of rows, ``_count_rows``: row n starts the column of
 s = n and steps each column once per row it gives, so the stream holds
 O(n_max) integers, never the table.  ``_table_text`` is its one CSV/JSON
-formatter, for ``CountTable`` and the ``table`` command alike, and it
-yields text in pieces, so the command never holds the whole text either.
+formatter, for ``CountTable`` and the ``table`` command alike; it and
+``enumerate`` yield text in pieces through ``_list_text``, the one list writer.
 
 The classes themselves come as a stream of blocks from ``_avoider_blocks``,
 built by the oracle's characterization instead of filtering S_n, so its
@@ -39,7 +39,7 @@ from math import comb, factorial, inf, perm
 
 # Nothing here calls _avoids; the name stays bound because the benchmark's
 # tracer (perfbench/spans.py) replaces counting._avoids to count its calls.
-from .perms import DEFAULT_SEARCH_LIMIT, Permutation, SearchLimitError, _Record, _avoids, _check_int, _check_limit
+from .perms import DEFAULT_SEARCH_LIMIT, Permutation, SearchLimitError, _Record, _avoids, _check_int, _check_limit, _decimal
 
 __all__ = [
     "DEFAULT_SEARCH_LIMIT",
@@ -355,21 +355,25 @@ def _count_rows(n_max: int, r_max: int) -> Iterator[tuple[int, int, int]]:
             yield r, n, next(columns[n - r])
 
 
+def _list_text(items: Iterable[str], header: str | None) -> Iterator[str]:
+    """``items`` as lines after ``header``, or with no header as ``json.dumps`` lays out an array,
+    in pieces of about 64 KB plus one item; an item may be a run of items joined by the separator."""
+    lead, sep = ("[", ", ") if header is None else (header, "\n")
+    chunk, size = [], 0
+    for item in items:
+        if size >= 1 << 16:  # flushed before an item, so the last piece is never empty
+            yield lead + sep.join(chunk)
+            lead, chunk, size = sep, [], 0
+        chunk.append(item)
+        size += len(sep) + len(item)
+    yield lead + sep.join(chunk) + ("]" if header is None else "\n" if chunk else "")
+
+
 def _table_text(rows: Iterable[tuple[int, int, int]], fmt: str) -> Iterator[str]:
-    """The text of ``rows`` in ``fmt``, in pieces of about 64 KB.  "csv" is
-    an ``r,n,k`` header and a line per row; "json" is what ``json.dumps``
-    gives for the list of ``{"r": r, "n": n, "k": str(k)}``, with no final
-    newline.  Counts are decimal strings in JSON so that consumers with
-    fixed integer widths can still read large factorials."""
-    csv = fmt == "csv"
-    pieces, size, sep = ["r,n,k\n" if csv else "["], 0, ""
-    for r, n, k in rows:
-        pieces.append(f"{r},{n},{k}\n" if csv else f'{sep}{{"r": {r}, "n": {n}, "k": "{k}"}}')
-        sep, size = ", ", size + len(pieces[-1])
-        if size >= 1 << 16:
-            yield "".join(pieces)
-            pieces, size = [], 0
-    yield "".join(pieces) + ("" if csv else "]")
+    """The text of ``rows`` as CSV or JSON; JSON counts are strings, for readers of fixed-width ints."""
+    if fmt == "csv":
+        return _list_text((f"{r},{n},{_decimal(k)}" for r, n, k in rows), "r,n,k\n")
+    return _list_text((f'{{"r": {r}, "n": {n}, "k": "{_decimal(k)}"}}' for r, n, k in rows), None)
 
 
 class CountTable(_Record):

@@ -66,8 +66,10 @@ class SearchLimitError(ValueError):
             f"size {size} exceeds the exhaustive-search guard (limit={limit}); "
             f"raise the limit explicitly to proceed"
         )
-        self.size = size
-        self.limit = limit
+        self.size, self.limit = size, limit
+
+    def __reduce__(self) -> tuple:  # pickle rebuilds it from size and limit, not the message
+        return type(self), (self.size, self.limit)
 
 
 class _Record:
@@ -188,6 +190,19 @@ def _check_int(name: str, value: int, lo: int, hi: int) -> None:
     if type(value) is not int or not lo <= value <= hi:
         allowed = f">= {lo}" if hi == inf else f"in {lo}..{hi}"
         raise BadInputError(f"{name} must be an int {allowed}, got {value!r}", name)
+
+
+# CPython 3.10.7+ caps str(int) at 4300 digits by default, 640 at the lowest; 10**600 stays under any cap.
+_STR_SAFE = 10**600
+
+
+def _decimal(value: int) -> str:
+    """Decimal text of an int of any size, whatever the cap."""
+    if abs(value) < _STR_SAFE:
+        return str(value)
+    k = value.bit_length() * 3 // 20  # about half of the decimal digits
+    high, low = divmod(abs(value), 10**k)
+    return "-" * (value < 0) + _decimal(high) + _decimal(low).zfill(k)
 
 
 def _check_limit(n: int, limit: int) -> None:

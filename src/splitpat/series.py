@@ -21,11 +21,12 @@ returns the checks with the boundary residual, as ``main2_checks`` does.
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
-from math import comb, factorial, inf
+from itertools import chain
+from math import comb, factorial, gcd, inf
 from operator import add, sub
 
 from .counting import _count_square
-from .perms import Check, _Record, _check_int
+from .perms import Check, _Record, _check_int, _decimal
 
 __all__ = [
     "BivariateSeries",
@@ -66,8 +67,9 @@ class BivariateSeries(_Record):
 
     def __post_init__(self) -> None:
         rows = tuple(map(tuple, self.coeffs))
-        if not rows or any(len(row) != len(rows) for row in rows):
-            raise ValueError("coefficient grid must be a nonempty square")
+        # Floats and bools compare equal to ints, so each cell's type is tested.
+        if not rows or any(len(row) != len(rows) for row in rows) or not {*map(type, chain(*rows))} <= {int}:
+            raise ValueError("coefficient grid must be a nonempty square of plain ints")
         object.__setattr__(self, "coeffs", rows)
 
     @classmethod
@@ -121,12 +123,15 @@ class BivariateSeries(_Record):
     def to_dict(self) -> dict:
         """The JSON form: the coefficients (not the cells), numerators and
         denominators as decimal strings, row-major in the x exponent."""
-        coeffs = [[self.coeff(r, s) for s in range(self.ny + 1)] for r in range(self.nx + 1)]
-        return {
-            "nx": self.nx,
-            "ny": self.ny,
-            "coeffs": [[[str(c.numerator), str(c.denominator)] for c in row] for row in coeffs],
-        }
+        facts = [factorial(m) for m in range(self.order + 1)]
+        coeffs = [[_lowest_terms(c, a * b) for c, b in zip(row, facts)] for row, a in zip(self.coeffs, facts)]
+        return {"nx": self.nx, "ny": self.ny, "coeffs": coeffs}
+
+
+def _lowest_terms(cell: int, den: int) -> list[str]:
+    """cell / den, den > 0, as the text of ``Fraction``'s numerator and denominator."""
+    g = gcd(cell, den)
+    return [_decimal(cell // g), _decimal(den // g)]
 
 
 def _common_order(a: BivariateSeries, b: BivariateSeries) -> int:
@@ -283,8 +288,9 @@ def _compare(
         return Check(key, name, False, f"window {windows[0]} and {windows[1]}, expected {expected}")
     for r, (left_row, right_row) in enumerate(zip(left.coeffs, right.coeffs)):
         for s, (a, b) in enumerate(zip(left_row, right_row)):
-            if a != b:
-                return Check(key, name, False, f"first mismatch at ({r},{s}): {left.coeff(r, s)} != {right.coeff(r, s)}")
+            if a != b:  # each coefficient worded as a/b, or a when b = 1, at any size
+                a, b = ("/".join(_lowest_terms(c, factorial(r) * factorial(s))).removesuffix("/1") for c in (a, b))
+                return Check(key, name, False, f"first mismatch at ({r},{s}): {a} != {b}")
     return Check(key, name, True, f"exact on {expected}")
 
 

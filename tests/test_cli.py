@@ -490,6 +490,18 @@ class TestEnumerate:
         assert run(capsys, *args) == (0, "".join(m + "\n" for m in members), "")
         assert run(capsys, *args, "--format", "json") == (0, json.dumps(members) + "\n", "")
 
+    @pytest.mark.parametrize("fmt", ["lines", "json"])
+    def test_class_is_written_in_pieces(self, monkeypatch, fmt):
+        # The class at (5, 10), about 800 KB, goes out in pieces of about
+        # 64 KB plus one run: a head's members, at most 5! = 120 here, each
+        # at most 20 characters, two quotes and a separator.
+        pieces = []
+        monkeypatch.setattr(splitpat.cli, "_write_all", lambda *text: pieces.extend(text))
+        assert main(["enumerate", "--r", "5", "--n", "10", "--format", fmt]) == 0
+        members = [_format_values(w.values) for w in enumerate_avoiders(5, 10)]
+        assert "".join(pieces) == ("".join(m + "\n" for m in members) if fmt == "lines" else json.dumps(members) + "\n")
+        assert len(pieces) > 2 and max(map(len, pieces)) < (1 << 16) + 120 * 24
+
     def test_closed_stdout_is_not_a_fault(self):
         # The class at (5, 10) (about 800 KB) is written in chunks, and the
         # closed reader meets one of them, as under ``| head -c 20``.

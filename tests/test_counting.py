@@ -462,6 +462,11 @@ class TestCountTable:
         assert table.to_csv() == "".join(f"{r},{n},{k}\n" for r, n, k in [("r", "n", "k"), *rows])
         assert (len(pieces) > 1) == (n_max == 100)
 
+    def test_counts_print_past_the_int_str_digit_cap(self):
+        digits = "1" + "0" * 5000
+        table = splitpat.counting.CountTable({(0, 0): 1, (0, 1): 10**5000})
+        assert (table.to_csv(), table.to_json()) == (f"r,n,k\n0,1,{digits}\n", f'[{{"r": 0, "n": 1, "k": "{digits}"}}]')
+
     def test_an_empty_table_prints_its_header_only(self):
         table = splitpat.counting.CountTable({(0, 0): 1})
         assert (table.to_csv(), table.to_json()) == ("r,n,k\n", "[]")

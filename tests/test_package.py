@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import splitpat
-from splitpat import BivariateSeries, Check, CountTable, Permutation, counting, perms, series, verify
+from splitpat import BadInputError, BivariateSeries, Check, CountTable, Permutation, counting, perms, series, verify
 from splitpat.cli import build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -118,6 +118,18 @@ RECORDS = {
     "BivariateSeries": (lambda: BivariateSeries.constant(1, 2), BivariateSeries.constant(1, 3), True),
     "Check": (lambda: Check("key", "name", True), Check("key", "name", False), True),
 }
+
+
+def test_refusals_survive_pickling():
+    # A refusal raised in a worker process reaches its parent by pickle,
+    # with its type, its message and the fields a front end reads.
+    limit = pickle.loads(pickle.dumps(perms.SearchLimitError(11, 10)))
+    assert type(limit) is perms.SearchLimitError and (limit.size, limit.limit) == (11, 10)
+    assert str(limit) == "size 11 exceeds the exhaustive-search guard (limit=10); raise the limit explicitly to proceed"
+    bad = pickle.loads(pickle.dumps(BadInputError("n must be an int >= 0, got -1", "n")))
+    assert type(bad) is BadInputError and (str(bad), bad.argument) == ("n must be an int >= 0, got -1", "n")
+    bad = pickle.loads(pickle.dumps(BadInputError("bad permutation text: 'x'")))
+    assert (str(bad), bad.argument) == ("bad permutation text: 'x'", None)
 
 
 @pytest.mark.parametrize("kind", RECORDS)

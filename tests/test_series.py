@@ -77,6 +77,14 @@ class TestSeriesBasics:
         with pytest.raises(ValueError):
             BivariateSeries(((1,), (2,)))
 
+    @pytest.mark.parametrize("cell", [0.5, 1.0, True, Fraction(1, 2), Fraction(1)])
+    def test_cells_must_be_plain_ints(self, cell):
+        # Floats, bools and Fractions compare equal to ints but are refused,
+        # as a grid that is not square is, so no product ever mixes them in.
+        for make in (lambda: BivariateSeries(((1, cell), (0, 1))), lambda: BivariateSeries.from_fn(lambda r, s: cell, 1)):
+            with pytest.raises(ValueError, match="^coefficient grid must be a nonempty square of plain ints$"):
+                make()
+
     def test_coeff_outside_window(self):
         s = geometric_series(2)
         with pytest.raises(IndexError):
@@ -160,6 +168,13 @@ class TestSeriesBasics:
         assert data["nx"] == 2 and data["ny"] == 2
         assert data["coeffs"][2][2] == ["1", "2"]
         assert data["coeffs"][1][1] == ["1", "1"]
+
+    def test_json_prints_cells_past_the_int_str_digit_cap(self):
+        # 5001 digits, past CPython's default cap of 4300 on str(int).
+        big = 10**5000
+        data = BivariateSeries(((big, -big), (0, 6 * big))).to_dict()
+        digits = "1" + "0" * 5000
+        assert data["coeffs"] == [[[digits, "1"], ["-" + digits, "1"]], [["0", "1"], ["6" + digits[1:], "1"]]]
 
 
 class TestNamedSeries:
@@ -440,6 +455,12 @@ class TestVerifyIdentities:
         check = _compare("key", "name", 5, left, right)
         assert not check.passed
         assert check.detail == detail
+
+    def test_mismatch_is_worded_past_the_int_str_digit_cap(self):
+        big = 10**5000
+        check = _compare("key", "name", 0, BivariateSeries(((big,),)), BivariateSeries(((big + 1,),)))
+        digits = "1" + "0" * 5000
+        assert check.detail == f"first mismatch at (0,0): {digits} != {digits[:-1]}1"
 
     def test_boundary_check_is_documentation_not_a_patch(self):
         checks, _ = verify_identities(3)
