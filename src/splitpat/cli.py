@@ -20,7 +20,7 @@ import sys
 from math import inf
 
 from . import counting, verify
-from .perms import DEFAULT_SEARCH_LIMIT, BadInputError, SearchLimitError, _check_int, _decimal, contains_split, parse_permutation
+from .perms import DEFAULT_SEARCH_LIMIT, TARGETS, BadInputError, SearchLimitError, _check_int, _decimal, contains_split, parse_permutation
 
 
 # The option that supplies each argument the library checks, by the
@@ -209,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("--target", choices=verify.TARGETS, required=True)
+    p.add_argument("--target", choices=TARGETS, required=True)
     p.add_argument("--order", type=int, default=12, help="series window order (>= 2)")
     p.add_argument("--n-max", type=int, default=7, help="largest size for exhaustive targets")
     p.add_argument("--format", choices=("text", "json"), default="text")

@@ -12,8 +12,9 @@ bundle.
 Positions and values are 1-based in every public interface, a witness is
 the tuple of its positions, and the empty permutation (n = 0) is valid.
 The refusals, the search guard and ``Check``, which every layer and the
-command-line parser share, live here too, so the parser needs no other
-layer; ``counting``, ``series`` and ``verify`` re-export what they list.
+command-line parser share, and the verification targets, which the parser
+offers, live here too, so the parser needs no other layer; ``counting``,
+``series`` and ``verify`` re-export what they list.
 """
 
 from __future__ import annotations
@@ -52,6 +53,10 @@ class BadInputError(ValueError):
 # r = 0 and r = n, and ``enumerate_avoiders`` lists up to 986,410
 # members at n = 10.  Larger sizes must be requested explicitly.
 DEFAULT_SEARCH_LIMIT = 10
+
+# The verification targets, which ``verify.run_target`` runs and the parser
+# offers as ``--target``'s choices.
+TARGETS = ("oracle", "fibers", "symmetry", "recursion", "bessel", "main2", "all")
 
 
 class SearchLimitError(ValueError):

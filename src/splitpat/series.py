@@ -20,12 +20,12 @@ returns the checks with the boundary residual, as ``main2_checks`` does.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from itertools import chain
 from math import comb, factorial, gcd, inf
 from operator import add, sub
 
-from .counting import _count_square
+from . import counting
 from .perms import Check, _Record, _check_int, _decimal
 
 __all__ = [
@@ -215,10 +215,14 @@ def diagonal_collapse(series: BivariateSeries) -> tuple[Fraction, ...]:
     in cells.  Only total degrees up to the order stay fully inside the
     window."""
     from fractions import Fraction  # see counting.normalized_excess
-    return tuple(
-        Fraction(sum(comb(m, r) * series.coeffs[r][m - r] for r in range(m + 1)), factorial(m))
-        for m in range(series.order + 1)
-    )
+    return tuple(Fraction(cell, factorial(m)) for m, cell in enumerate(_diagonal_cells(series)))
+
+
+def _diagonal_cells(series: BivariateSeries) -> Iterator[int]:
+    """``diagonal_collapse`` in cells: m! times the m-th coefficient,
+    sum_r C(m,r) G[r][m-r]."""
+    for m in range(series.order + 1):
+        yield sum(comb(m, r) * series.coeffs[r][m - r] for r in range(m + 1))
 
 
 def exp_sum_series(order: int) -> BivariateSeries:
@@ -267,7 +271,7 @@ def count_egf(order: int) -> BivariateSeries:
     """Bivariate EGF of the avoidance counts: coefficient
     avoider_count(r, r+s) / (r! s!), so the cell is the count itself, read
     off one contiguous-relation column per s (``counting._count_square``)."""
-    return BivariateSeries(tuple(_count_square(order)))
+    return BivariateSeries(tuple(counting._count_square(order)))
 
 
 def excess_ogf(order: int) -> BivariateSeries:
@@ -301,8 +305,8 @@ def bessel_checks(order: int) -> list[Check]:
     _check_int("order", order, 2, inf)
     binomial_egf = binomial_egf_series(order)
     product = exp_sum_series(order) * bessel_i0_series(order)
-    diag = diagonal_collapse(binomial_egf)
-    bad = next((m for m, c in enumerate(diag) if c * factorial(m) != comb(2 * m, m)), None)
+    # In cells, the central binomial EGF's m-th coefficient is C(2m, m).
+    bad = next((m for m, cell in enumerate(_diagonal_cells(binomial_egf)) if cell != comb(2 * m, m)), None)
     return [
         _compare("product", "binomial EGF = exp_sum * bessel_i0", order, binomial_egf, product),
         Check(
@@ -352,7 +356,8 @@ def main2_checks(order: int) -> tuple[list[Check], BivariateSeries]:
             "boundary",
             "exponential-boundary variant leaves a nonzero residual",
             nonzero > 0,
-            f"residual(0,0) = {residual.coeff(0, 0)}; nonzero in {nonzero} of {(order + 1) ** 2} cells",
+            # Cell (0, 0) is its coefficient, since 0! 0! = 1.
+            f"residual(0,0) = {_decimal(residual.coeffs[0][0])}; nonzero in {nonzero} of {(order + 1) ** 2} cells",
         ),
     ]
     return checks, residual

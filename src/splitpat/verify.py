@@ -5,11 +5,12 @@ not a tolerance issue."""
 from __future__ import annotations
 
 from collections import Counter
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from math import comb, factorial, inf, perm
+from operator import itemgetter
 
 from . import counting, series
-from .perms import DEFAULT_SEARCH_LIMIT, BadInputError, Check, _avoids, _check_int, _check_limit, _rotate180
+from .perms import DEFAULT_SEARCH_LIMIT, TARGETS, BadInputError, Check, _avoids, _check_int, _check_limit, _rotate180
 
 __all__ = ["Check", "TARGETS", "run_target"]
 
@@ -48,59 +49,97 @@ _STRUCTURE_FACTS = {
 }
 
 
+# Parents whose children the structure suite makes and filters at once.
+_BLOCK = 64
+
+
 def structure_checks(n_max: int, limit: int = DEFAULT_SEARCH_LIMIT) -> list[Check]:
     """Structural facts about the avoidance classes, swept from S_n for all
     n <= n_max and all r; a failure names the first failing (r, n), n then
-    r.  Refuses n_max > limit before any sweep.  S_n is S_{n-1} with n
-    inserted at each position, so index i holds index i // n of S_{n-1}
-    with its max at position i % n: remove-max is arithmetic on the index.
-    Each class is a list of indices into S_n, filtered as the predicate
-    runs.  ``_rotate180`` runs once per permutation, as an index map into
-    S_n (-1, in no class, for an image off it) built through a rank dict
-    that lives only for that map.  Rotation compares a class's sorted
-    images with its mirror class.  Sizes below n - 1 are dropped."""
+    r.  Refuses n_max > limit before any sweep.
+
+    S_n is S_{n-1} with n inserted at each position, so index i holds index
+    i // n of S_{n-1}, its parent, with its max at position i % n.  The
+    children are made and filtered a block of parents at a time, so only
+    S_{n_max-1} is ever held as tuples.  Each class is a bitmap over S_n,
+    one byte per index; its slice ``[p::n]`` is the bitmap over S_{n-1} of
+    the parents whose child with the max at p is a member, so remove-max
+    is a strided slice.  A max-left member's right block is its parent's
+    from position r - 1 on, which is where ``partition`` reads it.
+    ``_rotate180`` runs once per permutation and ``_rank`` indexes its
+    image; rotation marks a class's images on a bitmap and compares it with
+    the mirror class.  Only the classes of the size below are kept."""
+    from array import array  # on use: only this suite holds the rotation ranks
+
     _check_int("n_max", n_max, 1, inf)
     _check_limit(n_max, limit)
-    perms: list[tuple[int, ...]] = [()]
-    classes = [[0]]  # S_0's one class: the empty permutation avoids both patterns
+    parents: list[tuple[int, ...]] = [()]
+    classes = [bytearray(b"\1")]  # S_0's one class: the empty permutation avoids both patterns
     failures: dict[str, str] = {}
     for n in range(1, n_max + 1):
-        perms = [u[:p] + (n,) + u[p:] for u in perms for p in range(n)]
-        ids = list(range(len(perms)))
-        smaller_classes, classes = classes, [list(compress(ids, map(_avoids, perms, repeat(r)))) for r in range(n + 1)]
-        rotated = list(map(dict(zip(perms, ids)).get, map(_rotate180, perms), repeat(-1)))
-        for r in range(n + 1):
-            members = classes[r]
-            max_left = [i for i in members if i % n < r]
+        size, top = len(parents) * n, (n,)
+        smaller_classes, classes = classes, [bytearray() for _ in range(n + 1)]
+        rotated, children = array("i"), []
+        first_child = dict(zip(parents, range(0, size, n)))  # each parent's first child's index
+        for start in range(0, len(parents), _BLOCK):
+            chunk = [u[:p] + top + u[p:] for u in parents[start : start + _BLOCK] for p in range(n)]
+            for r, members in enumerate(classes):
+                members.extend(map(_avoids, chunk, repeat(r)))
+            rotated.extend(map(_rank, map(_rotate180, chunk), repeat(n), repeat(first_child)))
+            if n < n_max:
+                children += chunk
+        for r, members in enumerate(classes):
+            by_max = [members[p::n] for p in range(n)]  # the members with their max at p, by parent
             found = {
-                "split": len(max_left) == counting.max_left_avoider_count(r, n)
-                and len(members) == counting.avoider_count(r, n),
+                "split": sum(b.count(1) for b in by_max[:r]) == counting.max_left_avoider_count(r, n)
+                and members.count(1) == counting.avoider_count(r, n),
             }
             if r <= n - r:
-                # The mirror class is sorted and has no repeats, so the sorted
-                # images equal it exactly when they are distinct and fill it:
-                # a bijection.  _rotate180 is an involution, so the pair's
-                # other direction needs no check of its own.
-                found["rotate"] = sorted(rotated[i] for i in members) == classes[n - r]
+                # Images all in S_n that mark the mirror class's bitmap, and
+                # as many as its members, are a bijection onto it.
+                # _rotate180 is an involution, so the pair's other direction
+                # needs no check of its own.
+                mirror, images = classes[n - r], bytearray(size)
+                for i in compress(rotated, members):
+                    images[i] = 1
+                found["rotate"] = (
+                    min(compress(rotated, members), default=0) >= 0
+                    and members.count(1) == mirror.count(1)
+                    and images == mirror
+                )
             if r < n:
-                fibers = Counter(i // n for i in members if i % n >= r)
-                found["fibers"] = fibers == dict.fromkeys(smaller_classes[r], n - r)
+                found["fibers"] = all(b == smaller_classes[r] for b in by_max[r:])
             if r >= 1:
-                smaller = set(smaller_classes[r - 1])
-                found["peel-left"] = all(i // n in smaller for i in max_left)
+                # Read as ints, each bitmap sets no bit outside the class's.
+                smaller = int.from_bytes(smaller_classes[r - 1], "little")
+                found["peel-left"] = all((int.from_bytes(b, "little") | smaller) == smaller for b in by_max[:r])
             if 0 < r < n:
-                found["partition"] = Counter(min(perms[i][r:]) for i in max_left) == {
+                right_min = list(map(min, map(itemgetter(slice(r - 1, None)), parents)))  # by parent
+                found["partition"] = Counter(chain.from_iterable(compress(right_min, b) for b in by_max[:r])) == {
                     i: comb(n - i - 1, r - i) * perm(r, i - 1) for i in range(1, r + 1)
                 }
             for key, holds in found.items():
                 if not holds and key not in failures:
                     failures[key] = f"{_STRUCTURE_FACTS[key][1]} at (r,n)=({r},{n})"
+        parents = children
 
     scope = f"n <= {n_max}, all r"
     return [
         Check(key, f"{statement} ({scope})", key not in failures, failures.get(key, ""))
         for key, (statement, _) in _STRUCTURE_FACTS.items()
     ]
+
+
+def _rank(image: tuple[int, ...], n: int, first_child: dict[tuple[int, ...], int]) -> int:
+    """Index in S_n of ``image``, or -1 (in no class) if it is not in S_n:
+    the index of the first child of its parent, ``image`` without n, read
+    from ``first_child``, plus the position of n."""
+    try:
+        p = image.index(n)
+    except ValueError:
+        return -1
+    first = first_child.get(image[:p] + image[p + 1 :], -1)
+    return first + p if first >= 0 else -1
 
 
 # Largest n at which the symmetry suite checks the closed-form counts.
@@ -146,9 +185,6 @@ def recursion_checks(order: int) -> list[Check]:
             f"violations at {violations[:5]}" if violations else "",
         )
     ]
-
-
-TARGETS = ("oracle", "fibers", "symmetry", "recursion", "bessel", "main2", "all")
 
 
 def run_target(

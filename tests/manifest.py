@@ -4,18 +4,20 @@ its end-to-end runner.
 Each line of ``golden/stdout.sha256`` is ``<sha256> <exit code> <tier>
 <argv...>``; blank lines and ``#`` comments are skipped.  ``test`` lines run
 in process under the test suite (``test_cli.py::test_pinned_output_bytes``).
-``ci:<seconds>`` lines run end to end when this file runs as a script::
+``ci:<seconds>`` and ``ci:<seconds>:<MB>`` lines run end to end when this
+file runs as a script::
 
     python3 tests/manifest.py [MANIFEST]
 
 Each runs as ``python -m splitpat.cli <argv...>`` with stdin from /dev/null.
 A line fails on a different stdout hash or exit code, at ``<seconds>`` of
-wall time, or at a peak RSS of ``CEILING_MB``.  The script exits 1 if any
-line fails, or if the manifest has no ``ci`` line.  Linux only: the peak is
-the child's ``ru_maxrss`` from ``os.wait4``, in KiB.  Linux carries the
-spawning process's peak into a child's ``ru_maxrss`` across exec, so each
-command is spawned by ``SPAWNER``, a small ``python -S`` process that
-reports the command's exit code and peak, not by the runner itself.
+wall time, or at a peak RSS of ``<MB>``, by default ``CEILING_MB``.  The
+script exits 1 if any line fails, or if the manifest has no ``ci`` line.
+Linux only: the peak is the child's ``ru_maxrss`` from ``os.wait4``, in
+KiB.  Linux carries the spawning process's peak into a child's
+``ru_maxrss`` across exec, so each command is spawned by ``SPAWNER``, a
+small ``python -S`` process that reports the command's exit code and peak,
+not by the runner itself.
 """
 
 import hashlib
@@ -50,6 +52,7 @@ class Pin(NamedTuple):
     code: int
     timeout: int | None  # seconds for a ``ci`` line, None for a ``test`` line
     argv: tuple[str, ...]
+    ceiling_mb: int  # the peak RSS at which a ``ci`` line fails
 
 
 def read(path=MANIFEST):
@@ -65,15 +68,18 @@ def read(path=MANIFEST):
         for ok, why in [
             (re.fullmatch("[0-9a-f]{64}", digest), "the hash is not 64 lowercase hex digits"),
             (re.fullmatch("-?[0-9]+", code), f"exit code {code!r} is not an integer"),
-            (re.fullmatch("test|ci:[1-9][0-9]*", tier), f"unknown tier {tier!r}"),
+            (re.fullmatch("test|ci(:[1-9][0-9]*){1,2}", tier), f"unknown tier {tier!r}"),
             (argv, "no argv"),
             ((kind, argv) not in seen, f"this argv is already pinned in tier {kind}"),
         ]:
             if not ok:
                 raise ValueError(f"{path}:{number}: {why}")
         seen.add((kind, argv))
-        timeout = int(tier[3:]) if kind == "ci" else None
-        pins.append(Pin(number, digest, int(code), timeout, argv))
+        timeout, ceiling_mb = None, CEILING_MB
+        if kind == "ci":
+            seconds, _, mb = tier[3:].partition(":")
+            timeout, ceiling_mb = int(seconds), int(mb or CEILING_MB)
+        pins.append(Pin(number, digest, int(code), timeout, argv, ceiling_mb))
     return pins
 
 
@@ -111,7 +117,7 @@ def run(pin):
             (seconds >= pin.timeout, f"timed out at {pin.timeout} s"),
             (code != pin.code, f"exit code {code}, pinned {pin.code}"),
             (digest.hexdigest() != pin.sha256, f"sha256 {digest.hexdigest()}, pinned {pin.sha256}"),
-            (peak_mb >= CEILING_MB, f"peak reached {CEILING_MB} MB"),
+            (peak_mb >= pin.ceiling_mb, f"peak reached {pin.ceiling_mb} MB"),
         ]
         if failed
     ]

@@ -782,9 +782,21 @@ class TestVerify:
             assert calls["_rotate180", n] == size, n
 
     def test_structure_suite_holds_no_class_sized_set(self):
-        # S_7 and its maps take about 1.4 MB; a bool list per r and two
-        # sets per rotation pair raised the peak to 2.7 MB.
-        assert traced_peak_kib(splitpat.verify.structure_checks, 7) < 2048
+        # Bitmap classes over S_7 with S_6's tuples take about 0.5 MB; S_7's
+        # tuples and its rank dict took 1.2-1.4 MB, and a bool list per r
+        # and two sets per rotation pair 2.7 MB.
+        assert traced_peak_kib(splitpat.verify.structure_checks, 7) < 1024
+
+    def test_rank_of_each_permutation_is_its_index(self):
+        # S_n built by inserting n into S_{n-1}, as the structure suite
+        # builds it; an image off S_n ranks -1.
+        perms = [()]
+        for n in range(1, 8):
+            first_child = dict(zip(perms, range(0, len(perms) * n, n)))
+            perms = [u[:p] + (n,) + u[p:] for u in perms for p in range(n)]
+            assert [splitpat.verify._rank(w, n, first_child) for w in perms] == list(range(len(perms))), n
+            for off in [(), perms[0][1:], perms[0] + (0,), (n,) * (n + 1), tuple(range(n))]:
+                assert splitpat.verify._rank(off, n, first_child) == -1, (n, off)
 
     @pytest.mark.parametrize("suite", ["oracle_checks", "structure_checks"])
     def test_exhaustive_suite_refuses_before_sweeping(self, monkeypatch, suite):

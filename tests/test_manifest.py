@@ -36,6 +36,18 @@ def test_a_line_peaks_at_its_own_size_not_the_runners(tmp_path):
     assert why == "" and peak_mb < 32
 
 
+def test_a_line_fails_at_its_own_peak_ceiling(tmp_path, capsys):
+    # Both commands peak near 15 MB: under a 64 MB ceiling the check passes,
+    # under a 10 MB one the count fails; a line without one keeps CEILING_MB.
+    assert [pin.ceiling_mb for pin in manifest.read(write(tmp_path, COUNT))] == [manifest.CEILING_MB]
+    path = write(tmp_path, CHECK.replace("ci:30", "ci:30:64"), COUNT.replace("ci:30", "ci:30:10"))
+    assert [(pin.timeout, pin.ceiling_mb) for pin in manifest.read(path)] == [(30, 64), (30, 10)]
+    assert manifest.main([str(path)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in out] == ["ok", "FAILED"]
+    assert out[1].endswith("line 2: count --r 2 --n 5: peak reached 10 MB")
+
+
 def test_a_line_past_its_timeout_is_killed_with_its_spawner(tmp_path):
     # The corollary count runs for seconds; the runner must not wait for it.
     line = COUNT.replace("ci:30 count --r 2 --n 5", "ci:1 count --r 2000 --n 4000 --method corollary")
@@ -69,8 +81,10 @@ def test_runner_fails_and_names_a_changed_line(tmp_path, capsys, lines, why):
         (COUNT.replace("ci:30", "nightly"), "unknown tier 'nightly'"),
         (COUNT.split(" count")[0], "no argv"),
         (COUNT.replace("ci:30", "ci:5"), "this argv is already pinned in tier ci"),
+        (COUNT.replace("ci:30", "ci:30:0"), "unknown tier 'ci:30:0'"),
+        (COUNT.replace("ci:30", "ci:30:70:1"), "unknown tier 'ci:30:70:1'"),
     ],
-    ids=["upper-hex", "short-hash", "exit-code", "bare-ci", "zero-seconds", "unknown", "no-argv", "repeated"],
+    ids=["upper-hex", "short-hash", "exit-code", "bare-ci", "zero-seconds", "unknown", "no-argv", "repeated", "zero-mb", "three-fields"],
 )
 def test_read_refuses_a_malformed_line(tmp_path, line, why):
     path = write(tmp_path, COUNT, line)

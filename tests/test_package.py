@@ -166,14 +166,15 @@ def test_reprs_name_every_field():
 
 HEAVY_MODULES = ("dataclasses", "inspect", "fractions", "decimal", "typing")
 # Runs one command, then prints its exit code, the heavy modules loaded and,
-# after "|", each lazy layer that ran.  A lazy module's own dict holds its
-# globals only once it has run, and object.__getattribute__ reads that dict
-# without running it.
+# after "|", each lazy layer that ran (the parser offers verify's targets
+# from perms, so only verify runs verify).  A lazy module's own dict holds
+# its globals only once it has run, and object.__getattribute__ reads that
+# dict without running it.
 PROBE = f"""\
 import sys
 from splitpat.cli import main
 code = main(sys.argv[1:])
-ran = [m for m in ("counting", "series") if "__all__" in object.__getattribute__(sys.modules[f"splitpat.{{m}}"], "__dict__")]
+ran = [m for m in ("counting", "series", "verify") if "__all__" in object.__getattribute__(sys.modules[f"splitpat.{{m}}"], "__dict__")]
 print(code, *sorted(set(sys.modules).intersection({HEAVY_MODULES!r})), "|", *ran, file=sys.stderr)
 """
 
@@ -187,10 +188,27 @@ print(code, *sorted(set(sys.modules).intersection({HEAVY_MODULES!r})), "|", *ran
         (("count", "--r", "2", "--n", "5", "--method", "brute"), 0, ["counting"]),
         (("count", "--r", "2", "--n", "5", "--method", "formula"), 0, ["counting"]),
         (("enumerate", "--r", "1", "--n", "4"), 0, ["counting"]),
-        (("verify", "--target", "recursion", "--order", "4"), 0, ["counting"]),
-        (("verify", "--target", "symmetry", "--order", "4"), 0, ["counting", "series"]),
+        (("verify", "--target", "recursion", "--order", "4"), 0, ["counting", "verify"]),
+        (("verify", "--target", "symmetry", "--order", "4"), 0, ["counting", "series", "verify"]),
+        # The Bessel suite reads no count; the text report would run
+        # counting for its list writer, the JSON one does not.
+        (("verify", "--target", "bessel", "--order", "4", "--format", "json"), 0, ["series", "verify"]),
+        (("verify", "--target", "main2", "--order", "4"), 0, ["counting", "series", "verify"]),
+        (("verify", "--target", "all", "--order", "4", "--n-max", "3"), 0, ["counting", "series", "verify"]),
     ],
-    ids=["check", "help", "table", "count", "count-formula", "enumerate", "verify-recursion", "verify-symmetry"],
+    ids=[
+        "check",
+        "help",
+        "table",
+        "count",
+        "count-formula",
+        "enumerate",
+        "verify-recursion",
+        "verify-symmetry",
+        "verify-bessel",
+        "verify-main2",
+        "verify-all",
+    ],
 )
 def test_commands_start_without_heavy_imports(argv, code, ran):
     # -S: a site-packages .pth file may import typing before the program runs.
