@@ -17,9 +17,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from math import inf
+from math import factorial, inf
 
-from . import counting, verify
+from . import counting, series, verify
 from .perms import DEFAULT_SEARCH_LIMIT, TARGETS, BadInputError, SearchLimitError, _check_int, _decimal, contains_split, parse_permutation
 
 
@@ -150,7 +150,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     passed = sum(1 for c in checks if c.passed)
     if args.format == "json":
         import json  # on use: only the --format json report needs it
-        text = json.dumps(  # no name holds the report, so it is freed before the write
+        head = json.dumps(  # the report up to its residual, which follows in pieces
             {
                 "target": args.target,
                 "order": args.order,
@@ -160,10 +160,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
                     {"key": c.key, "name": c.name, "passed": c.passed, "detail": c.detail}
                     for c in checks
                 ],
-                "boundary_residual": None if residual is None else residual.to_dict(),
+                "boundary_residual": None,
             }
         )
-        _write_all(text, "\n")
+        if residual is None:
+            _write_all(head, "\n")
+        else:  # the residual in place of the head's closing null, each row a list of ["num", "den"] in lowest terms
+            facts = [factorial(m) for m in range(residual.order + 1)]
+            rows = (json.dumps([series._lowest_terms(c, a * b) for c, b in zip(row, facts)]) for row, a in zip(residual.coeffs, facts))
+            _write_all(head.removesuffix("null}"), f'{{"nx": {residual.order}, "ny": {residual.order}, "coeffs": ')
+            for piece in counting._list_text(rows, None):
+                _write_all(piece)
+            _write_all("}}", "\n")
     else:
         lines = (f"{'PASS' if c.passed else 'FAIL'} {c.name}" + (f" [{c.detail}]" if c.detail else "") for c in checks)
         _write_all(*counting._list_text([*lines, f"summary: {passed}/{len(checks)} checks passed"], ""))

@@ -7,9 +7,10 @@ by e^(x+y) and by (1-x)(1-y) and the division by (1-x)(1-y) are steps along
 x and then y (a binomial transform by additions, for the labelled product of
 Flajolet and Sedgewick, a difference and an integer recurrence; any other
 product is refused), the mixed integral and derivative are index shifts,
-and only ``coeff`` and the JSON form divide by r! s!.  Coefficients outside
-the window are undefined, never assumed zero, so binary operations refuse
-two different orders and two series of different orders compare unequal.
+and only ``coeff``, a mismatch's wording and the ``verify`` JSON report
+divide by r! s!.  Coefficients outside the window are undefined, never
+assumed zero, so binary operations refuse two different orders and two
+series of different orders compare unequal.
 Two functions check the identities linking the series cell by cell with
 zero tolerance, one per group of identities, each building every series it
 needs once: ``bessel_checks`` (the Bessel factorization of the binomial EGF
@@ -55,8 +56,8 @@ class BivariateSeries(_Record):
     ``coeffs[r][s]`` is the int cell r! s! times the coefficient of x^r y^s.
     Instances are immutable and safe to share.  Equality compares the
     cells, so series of two different orders are unequal.  ``*`` takes only
-    e^(x+y) or (1-x)(1-y) as a factor.  ``nx`` and ``ny``, the orders in x
-    and in y that the JSON form names, both equal ``order``.
+    e^(x+y) or (1-x)(1-y) as a factor.  ``nx`` and ``ny`` both equal
+    ``order``; they stay for the benchmark tracer until ROADMAP item 17.
     """
 
     __slots__ = ("coeffs",)
@@ -119,13 +120,6 @@ class BivariateSeries(_Record):
     def is_symmetric(self) -> bool:
         """Whether the coefficients are invariant under swapping x and y."""
         return self.coeffs == tuple(zip(*self.coeffs))
-
-    def to_dict(self) -> dict:
-        """The JSON form: the coefficients (not the cells), numerators and
-        denominators as decimal strings, row-major in the x exponent."""
-        facts = [factorial(m) for m in range(self.order + 1)]
-        coeffs = [[_lowest_terms(c, a * b) for c, b in zip(row, facts)] for row, a in zip(self.coeffs, facts)]
-        return {"nx": self.nx, "ny": self.ny, "coeffs": coeffs}
 
 
 def _lowest_terms(cell: int, den: int) -> list[str]:
@@ -338,28 +332,29 @@ def main2_checks(order: int) -> tuple[list[Check], BivariateSeries]:
     unit = one_minus_x_minus_y_plus_xy(order)
     counts = count_egf(order)
     one = BivariateSeries.constant(1, order)
-    derivative = partial_xy(integrated_binomial_egf(order + 1))
-    integral = integrate_xy(binomial_egf)
-    excess = unit * (counts - geometric_series(order))
-    quotient = divide_by_unit(integrated + one, unit)
+    checks = [  # each computed side is built in its call, so it is dropped once compared
+        _compare("derivative", "partial_xy(integrated binomial EGF) = binomial EGF", order,
+                 partial_xy(integrated_binomial_egf(order + 1)), binomial_egf),
+        _compare("integral", "integrate_xy(binomial EGF) = integrated binomial EGF", order, integrate_xy(binomial_egf), integrated),
+        _compare("excess", "(1-x-y+xy) * excess OGF = integrated binomial EGF", order,
+                 unit * (counts - geometric_series(order)), integrated),
+        _compare("count", "count EGF = (integrated binomial EGF + 1) / (1-x-y+xy)", order,
+                 counts, divide_by_unit(integrated + one, unit)),
+    ]
     # e^x + e^y - 1 on the axes: coefficient 1/r! on the x axis and 1/s! on
     # the y axis, so cell 1 on both.
     axes = BivariateSeries.from_fn(lambda r, s: int(r * s == 0), order)
     residual = divide_by_unit(integrated + axes + one, unit) - counts
     nonzero = sum(1 for row in residual.coeffs for c in row if c != 0)
-    checks = [
-        _compare("derivative", "partial_xy(integrated binomial EGF) = binomial EGF", order, derivative, binomial_egf),
-        _compare("integral", "integrate_xy(binomial EGF) = integrated binomial EGF", order, integral, integrated),
-        _compare("excess", "(1-x-y+xy) * excess OGF = integrated binomial EGF", order, excess, integrated),
-        _compare("count", "count EGF = (integrated binomial EGF + 1) / (1-x-y+xy)", order, counts, quotient),
+    checks.append(
         Check(
             "boundary",
             "exponential-boundary variant leaves a nonzero residual",
             nonzero > 0,
             # Cell (0, 0) is its coefficient, since 0! 0! = 1.
             f"residual(0,0) = {_decimal(residual.coeffs[0][0])}; nonzero in {nonzero} of {(order + 1) ** 2} cells",
-        ),
-    ]
+        )
+    )
     return checks, residual
 
 

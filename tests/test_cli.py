@@ -8,7 +8,7 @@ import sys
 import tracemalloc
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
-from itertools import permutations
+from itertools import permutations, repeat
 from pathlib import Path
 from unittest import mock
 
@@ -545,6 +545,37 @@ class TestVerify:
         assert data["boundary_residual"]["nx"] == 4
         assert data["boundary_residual"]["coeffs"][0][0] == ["1", "1"]
         assert all(check["passed"] for check in data["checks"])
+
+    def test_json_report_is_written_in_pieces(self, monkeypatch):
+        # The order-60 residual, about 400 KB, goes out a piece of about
+        # 64 KB plus one row at a time, and the whole text is json.dumps of
+        # the report with each coefficient as Fraction's lowest terms.
+        pieces = []
+        monkeypatch.setattr(splitpat.cli, "_write_all", lambda *text: pieces.extend(text))
+        assert main(["verify", "--target", "main2", "--order", "60", "--format", "json"]) == 0
+        checks, residual = run_target("main2", order=60)
+        coeffs = [[[str(f.numerator), str(f.denominator)] for f in map(residual.coeff, repeat(r), range(61))] for r in range(61)]
+        report = {
+            "target": "main2",
+            "order": 60,
+            "n_max": 7,
+            "all_passed": True,
+            "checks": [{"key": c.key, "name": c.name, "passed": c.passed, "detail": c.detail} for c in checks],
+            "boundary_residual": {"nx": 60, "ny": 60, "coeffs": coeffs},
+        }
+        assert "".join(pieces) == json.dumps(report) + "\n"
+        row = max(len(json.dumps(row)) for row in coeffs)
+        assert len(pieces) > 2 and max(map(len, pieces)) < (1 << 16) + len(", ") + row
+
+    def test_suites_hold_one_grid_at_a_time(self, monkeypatch):
+        # Each grid a suite compares or tests is dropped before the next is
+        # built, and the JSON report holds no copy of the residual: holding
+        # every grid took 1.6-1.8 MB for each suite, and the report built
+        # whole 2.5 MB.
+        assert traced_peak_kib(splitpat.verify.symmetry_checks, 60) < 1200
+        assert traced_peak_kib(splitpat.series.main2_checks, 60) < 1500
+        monkeypatch.setattr(splitpat.cli, "_write_all", lambda *text: None)
+        assert traced_peak_kib(main, ["verify", "--target", "main2", "--order", "60", "--format", "json"]) < 1800
 
     def test_unknown_target(self, capsys):
         code, _, _ = run(capsys, "verify", "--target", "nonsense")

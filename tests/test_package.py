@@ -39,6 +39,7 @@ DELETED = (
     "PATTERN_23_1",
     "split_witnesses",
     "CountTable.k",
+    "BivariateSeries.to_dict",
 )
 
 

@@ -1,3 +1,4 @@
+import json
 import operator
 from fractions import Fraction
 from math import comb, factorial
@@ -7,6 +8,7 @@ from hypothesis import assume, given, strategies as st
 
 import splitpat.counting
 import splitpat.series
+import splitpat.verify
 from splitpat import (
     BivariateSeries,
     avoider_count,
@@ -25,8 +27,18 @@ from splitpat import (
     partial_xy,
     verify_identities,
 )
+from splitpat.cli import main
 from splitpat.series import _compare, bessel_checks, main2_checks
 from support import labelled_product, long_divide
+
+
+def residual_json(monkeypatch, capsys, residual):
+    """The boundary residual as the ``verify`` JSON report writes it, with
+    ``residual`` in place of the one the suite computes."""
+    monkeypatch.setattr(splitpat.verify, "run_target", lambda *args, **kwargs: ([], residual))
+    assert main(["verify", "--target", "main2", "--format", "json"]) == 0
+    return json.loads(capsys.readouterr().out)["boundary_residual"]
+
 
 # Cells are r! s! times the coefficients, so small int cells already give
 # rational coefficients with every factorial denominator.
@@ -163,16 +175,16 @@ class TestSeriesBasics:
         e = exp_sum_series(3)
         assert (e * e).coeff(1, 0) == 2  # e^(2(x+y))
 
-    def test_json_shape(self):
-        data = integrated_binomial_egf(2).to_dict()
+    def test_json_shape(self, monkeypatch, capsys):
+        data = residual_json(monkeypatch, capsys, integrated_binomial_egf(2))
         assert data["nx"] == 2 and data["ny"] == 2
         assert data["coeffs"][2][2] == ["1", "2"]
         assert data["coeffs"][1][1] == ["1", "1"]
 
-    def test_json_prints_cells_past_the_int_str_digit_cap(self):
+    def test_json_prints_cells_past_the_int_str_digit_cap(self, monkeypatch, capsys):
         # 5001 digits, past CPython's default cap of 4300 on str(int).
         big = 10**5000
-        data = BivariateSeries(((big, -big), (0, 6 * big))).to_dict()
+        data = residual_json(monkeypatch, capsys, BivariateSeries(((big, -big), (0, 6 * big))))
         digits = "1" + "0" * 5000
         assert data["coeffs"] == [[[digits, "1"], ["-" + digits, "1"]], [["0", "1"], ["6" + digits[1:], "1"]]]
 
