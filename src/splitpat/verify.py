@@ -10,7 +10,7 @@ from math import comb, factorial, inf, perm
 from operator import itemgetter
 
 from . import counting, series
-from .perms import DEFAULT_SEARCH_LIMIT, TARGETS, BadInputError, Check, _avoids, _check_int, _check_limit, _rotate180
+from .perms import DEFAULT_SEARCH_LIMIT, TARGETS, BadInputError, Check, _check_int, _check_limit, _rotate180
 
 __all__ = ["Check", "TARGETS", "run_target"]
 
@@ -50,7 +50,7 @@ _STRUCTURE_FACTS = {
 
 
 # Parents whose children the structure suite makes and filters at once.
-_BLOCK = 64
+_BLOCK = 32
 
 
 def structure_checks(n_max: int, limit: int = DEFAULT_SEARCH_LIMIT) -> list[Check]:
@@ -60,15 +60,17 @@ def structure_checks(n_max: int, limit: int = DEFAULT_SEARCH_LIMIT) -> list[Chec
 
     S_n is S_{n-1} with n inserted at each position, so index i holds index
     i // n of S_{n-1}, its parent, with its max at position i % n.  The
-    children are made and filtered a block of parents at a time, so only
-    S_{n_max-1} is ever held as tuples.  Each class is a bitmap over S_n,
-    one byte per index; its slice ``[p::n]`` is the bitmap over S_{n-1} of
-    the parents whose child with the max at p is a member, so remove-max
-    is a strided slice.  A max-left member's right block is its parent's
-    from position r - 1 on, which is where ``partition`` reads it.
-    ``_rotate180`` runs once per permutation and ``_rank`` indexes its
-    image; rotation marks a class's images on a bitmap and compares it with
-    the mirror class.  Only the classes of the size below are kept."""
+    children are made and filtered a block of parents at a time, every r at
+    once by ``_avoid_lanes``, so only S_{n_max-1} is ever held as tuples.
+    Each class is a bitmap over S_n, one byte per index; its slice
+    ``[p::n]`` is the bitmap over S_{n-1} of the parents whose child with
+    the max at p is a member, so remove-max is a strided slice.  A max-left
+    member's right block is its parent's from position r - 1 on, so the
+    sweep keeps each parent's suffix minima for ``partition`` and drops the
+    parents' tuples before the facts.  ``_rotate180`` runs once per
+    permutation and ``_rank`` indexes its image; rotation marks a class's
+    images on a bitmap and compares it with the mirror class.  Only the
+    classes of the size below are kept."""
     from array import array  # on use: only this suite holds the rotation ranks
 
     _check_int("n_max", n_max, 1, inf)
@@ -80,14 +82,19 @@ def structure_checks(n_max: int, limit: int = DEFAULT_SEARCH_LIMIT) -> list[Chec
         size, top = len(parents) * n, (n,)
         smaller_classes, classes = classes, [bytearray() for _ in range(n + 1)]
         rotated, children = array("i"), []
+        suffix_min = [bytearray() for _ in range(n - 1)]  # at i, each parent's min(u[i:])
         first_child = dict(zip(parents, range(0, size, n)))  # each parent's first child's index
         for start in range(0, len(parents), _BLOCK):
-            chunk = [u[:p] + top + u[p:] for u in parents[start : start + _BLOCK] for p in range(n)]
-            for r, members in enumerate(classes):
-                members.extend(map(_avoids, chunk, repeat(r)))
+            block = parents[start : start + _BLOCK]
+            chunk = [u[:p] + top + u[p:] for u in block for p in range(n)]
+            for members, lanes in zip(classes, _avoid_lanes(chunk, n)):
+                members.extend(lanes)
             rotated.extend(map(_rank, map(_rotate180, chunk), repeat(n), repeat(first_child)))
+            for i, mins in enumerate(suffix_min):
+                mins.extend(map(min, map(itemgetter(slice(i, None)), block)))
             if n < n_max:
                 children += chunk
+        parents, first_child = children, None
         for r, members in enumerate(classes):
             by_max = [members[p::n] for p in range(n)]  # the members with their max at p, by parent
             found = {
@@ -114,20 +121,59 @@ def structure_checks(n_max: int, limit: int = DEFAULT_SEARCH_LIMIT) -> list[Chec
                 smaller = int.from_bytes(smaller_classes[r - 1], "little")
                 found["peel-left"] = all((int.from_bytes(b, "little") | smaller) == smaller for b in by_max[:r])
             if 0 < r < n:
-                right_min = list(map(min, map(itemgetter(slice(r - 1, None)), parents)))  # by parent
+                right_min = suffix_min[r - 1]  # by parent
                 found["partition"] = Counter(chain.from_iterable(compress(right_min, b) for b in by_max[:r])) == {
                     i: comb(n - i - 1, r - i) * perm(r, i - 1) for i in range(1, r + 1)
                 }
             for key, holds in found.items():
                 if not holds and key not in failures:
                     failures[key] = f"{_STRUCTURE_FACTS[key][1]} at (r,n)=({r},{n})"
-        parents = children
 
     scope = f"n <= {n_max}, all r"
     return [
         Check(key, f"{statement} ({scope})", key not in failures, failures.get(key, ""))
         for key, (statement, _) in _STRUCTURE_FACTS.items()
     ]
+
+
+def _avoid_lanes(chunk: list[tuple[int, ...]], n: int) -> list[bytes]:
+    """For each r in 0..n, one byte per permutation in ``chunk``, all of
+    size n <= 126: 1 iff it avoids both patterns at r, as ``_avoids(w, r)``
+    decides.
+
+    Position j of every permutation is one 8-bit lane of ``cols[j]``, so
+    each step is a few big-int operations on the whole chunk.  ``lt`` sets
+    0xFF in the lanes where x < y: y + 128 - x - 1 keeps a lane's high bit
+    iff x < y, and no lane borrows from the next while every value is at
+    most 127.  w avoids at r iff max(w[:r]) < least[r], the least w_k over
+    pairs r <= j < k with w_j < w_k (else 3|12), and most[r] < min(w[r:]),
+    where most[r] is the largest w_h over pairs h < i < r with w_h < w_i
+    (else 23|1).  An empty max or ``most`` reads 0 and an empty min or
+    ``least`` reads 127, above every value (hence n <= 126), so r = 0 and
+    r = n need no case of their own."""
+    width = len(chunk)
+    ones = int.from_bytes(b"\1" * width, "little")
+    high, above = ones << 7, ones * 127
+
+    def lt(x: int, y: int) -> int:
+        return ((((y | high) - x - ones) & high) >> 7) * 255
+
+    cols = [int.from_bytes(bytes(map(itemgetter(j), chunk)), "little") for j in range(n)]
+    least, low = [above] * (n + 1), [above] * (n + 1)  # low[r] = min(w[r:])
+    for j in range(n - 1, -1, -1):
+        x, m, lo = cols[j], least[j + 1], low[j + 1]
+        for y in cols[j + 1 :]:
+            m ^= (m ^ y) & lt(x, y) & lt(y, m)
+        least[j], low[j] = m, lo ^ ((lo ^ x) & lt(x, lo))
+    lanes, top, most = [], 0, 0  # top = max(w[:r])
+    for r in range(n + 1):
+        lanes.append((lt(top, least[r]) & lt(most, low[r]) & ones).to_bytes(width, "little"))
+        if r < n:
+            x = cols[r]
+            for y in cols[:r]:
+                most ^= (most ^ y) & lt(y, x) & lt(most, y)
+            top ^= (top ^ x) & lt(top, x)
+    return lanes
 
 
 def _rank(image: tuple[int, ...], n: int, first_child: dict[tuple[int, ...], int]) -> int:

@@ -13,7 +13,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import splitpat.cli
 import splitpat.counting
@@ -29,10 +29,10 @@ from splitpat import (
 )
 from splitpat.cli import main
 from splitpat.counting import SearchLimitError, enumerate_avoiders
-from splitpat.perms import _format_values
+from splitpat.perms import _avoids, _format_values
 from splitpat.verify import TARGETS, run_target
 import manifest
-from support import PATTERNS, TABLE1, assert_valid_witness, filtered_class
+from support import PATTERNS, TABLE1, assert_valid_witness, filtered_class, oracle_first_witness
 
 NAMED_SERIES = (
     "exp_sum_series",
@@ -74,9 +74,25 @@ def traced_peak_kib(fn, *args):
 
 
 def swap_member(out, into, at):
-    """A corruption of ``_avoids`` that takes ``out`` from the class at
-    r = ``at`` and puts ``into`` in its place, so the class keeps its size."""
+    """A corruption of the predicate ``(w, r) -> avoids`` that takes ``out``
+    from the class at r = ``at`` and puts ``into`` in its place, so the
+    class keeps its size."""
     return lambda original: lambda w, r: w == into if r == at and w in (out, into) else original(w, r)
+
+
+def on_lanes(corrupt):
+    """A corruption of ``verify._avoid_lanes`` that rewrites its byte for
+    each (w, r) through ``corrupt``, a corruption of the predicate."""
+
+    def wrap(kernel):
+        def corrupted(chunk, n):
+            lanes = kernel(chunk, n)
+            predicate = corrupt(lambda w, r: bool(lanes[r][chunk.index(w)]))
+            return [bytes(predicate(w, r) for w in chunk) for r in range(n + 1)]
+
+        return corrupted
+
+    return wrap
 
 
 class DiscardingStdout:
@@ -703,8 +719,8 @@ class TestVerify:
                 # Both max-right at (1,4); the fiber over (1,2,3) loses one
                 # and (3,1,2), outside the class at (1,3), gains one.  The
                 # sizes hold, so split passes.
-                "_avoids",
-                swap_member((1, 2, 3, 4), (3, 1, 2, 4), 1),
+                "_avoid_lanes",
+                on_lanes(swap_member((1, 2, 3, 4), (3, 1, 2, 4), 1)),
                 {
                     "fibers": "fiber sizes wrong at (r,n)=(1,4)",
                     "rotate": "rotation image wrong at (r,n)=(1,4)",
@@ -720,8 +736,8 @@ class TestVerify:
                 # Both max-left at (2,4) and each its own rotation; peeling
                 # (3,4,1,2) gives (3,1,2), outside the class at (1,3), and the
                 # changed class at (2,4) is the fiber base of (2,5).
-                "_avoids",
-                swap_member((4, 2, 3, 1), (3, 4, 1, 2), 2),
+                "_avoid_lanes",
+                on_lanes(swap_member((4, 2, 3, 1), (3, 4, 1, 2), 2)),
                 {
                     "fibers": "fiber sizes wrong at (r,n)=(2,5)",
                     "peel-left": "max-left peel leaves the class at (r,n)=(2,4)",
@@ -733,8 +749,8 @@ class TestVerify:
                 {"partition": "partition sizes wrong at (r,n)=(1,2)"},
             ),
             (
-                "_avoids",
-                lambda original: lambda w, r: original(w, r) and (w, r) != ((2, 1, 3, 5, 4), 2),
+                "_avoid_lanes",
+                on_lanes(lambda original: lambda w, r: original(w, r) and (w, r) != ((2, 1, 3, 5, 4), 2)),
                 {
                     "split": "split sizes wrong at (r,n)=(2,5)",
                     "fibers": "fiber sizes wrong at (r,n)=(2,5)",
@@ -745,8 +761,8 @@ class TestVerify:
                 # (1,2,3,5,4) sits in the class at (3,5), past n/2; dropping
                 # it leaves its rotation (2,1,3,4,5) at (2,5) without a
                 # preimage, and rotation is checked from the pair's smaller r.
-                "_avoids",
-                lambda original: lambda w, r: original(w, r) and (w, r) != ((1, 2, 3, 5, 4), 3),
+                "_avoid_lanes",
+                on_lanes(lambda original: lambda w, r: original(w, r) and (w, r) != ((1, 2, 3, 5, 4), 3)),
                 {
                     "split": "split sizes wrong at (r,n)=(3,5)",
                     "fibers": "fiber sizes wrong at (r,n)=(3,5)",
@@ -757,8 +773,8 @@ class TestVerify:
             (
                 # At r = n/2 the class is its own rotation partner: (1,2,4,3)
                 # gone from (2,4) leaves (2,1,3,4) there with no preimage.
-                "_avoids",
-                lambda original: lambda w, r: original(w, r) and (w, r) != ((1, 2, 4, 3), 2),
+                "_avoid_lanes",
+                on_lanes(lambda original: lambda w, r: original(w, r) and (w, r) != ((1, 2, 4, 3), 2)),
                 {
                     "split": "split sizes wrong at (r,n)=(2,4)",
                     "fibers": "fiber sizes wrong at (r,n)=(2,4)",
@@ -784,32 +800,36 @@ class TestVerify:
         assert all(c.detail == "" for c in checks if c.passed)
 
     def test_structure_suite_maps_each_permutation_once_per_size(self, monkeypatch):
-        # The predicate still sees every (w, r) with w in S_n, 1 <= n <= 5,
-        # rotation runs once per permutation, and the builder never.  The
-        # remove-max image is read off the index, so no map computes it.
+        # Each w of S_n, 1 <= n <= 5, reaches the lane kernel once, as does
+        # rotation; the one-permutation predicate and the builder never run.
+        # The remove-max image is read off the index, so no map computes it.
         assert not hasattr(splitpat.verify, "_remove_max")
         assert not hasattr(splitpat.verify, "permutations")
-        calls = Counter()
+        seen = Counter()
+        kernel, rotate = splitpat.verify._avoid_lanes, splitpat.verify._rotate180
 
-        def counted(name):
-            original = getattr(splitpat.verify, name)
+        def counted_kernel(chunk, n):
+            assert all(len(w) == n for w in chunk)
+            seen.update(("_avoid_lanes", w) for w in chunk)
+            return kernel(chunk, n)
 
-            def wrapper(*args):
-                calls[name, len(args[0])] += 1
-                return original(*args)
-
-            return wrapper
+        def counted_rotate(w):
+            seen["_rotate180", w] += 1
+            return rotate(w)
 
         def forbidden(*args):
-            raise AssertionError("the structure suite read the class builder")
+            raise AssertionError("the structure suite read the class builder or the one-permutation predicate")
 
-        for name in ("_avoids", "_rotate180"):
-            monkeypatch.setattr(splitpat.verify, name, counted(name))
+        monkeypatch.setattr(splitpat.verify, "_avoid_lanes", counted_kernel)
+        monkeypatch.setattr(splitpat.verify, "_rotate180", counted_rotate)
         monkeypatch.setattr(splitpat.counting, "_chain_orderings", forbidden)
+        monkeypatch.setattr(splitpat.perms, "_avoids", forbidden)
+        assert not hasattr(splitpat.verify, "_avoids")
         assert all(c.passed for c in splitpat.verify.structure_checks(5))
-        for n, size in enumerate([1, 2, 6, 24, 120], start=1):
-            assert calls["_avoids", n] == (n + 1) * size, n
-            assert calls["_rotate180", n] == size, n
+        every = {w for n in range(1, 6) for w in permutations(range(1, n + 1))}
+        for name in ("_avoid_lanes", "_rotate180"):
+            assert {w for key, w in seen if key == name} == every, name
+            assert all(count == 1 for (key, _), count in seen.items() if key == name), name
 
     def test_structure_suite_holds_no_class_sized_set(self):
         # Bitmap classes over S_7 with S_6's tuples take about 0.5 MB; S_7's
@@ -834,7 +854,7 @@ class TestVerify:
             raise AssertionError(f"{suite} swept below the guard")
 
         monkeypatch.setattr(splitpat.counting, "brute_count", refuse)
-        monkeypatch.setattr(splitpat.verify, "_avoids", refuse)
+        monkeypatch.setattr(splitpat.verify, "_avoid_lanes", refuse)
         with pytest.raises(SearchLimitError):
             getattr(splitpat.verify, suite)(4, limit=3)
 
@@ -884,6 +904,45 @@ class TestVerify:
         checks, _ = run_target(target, order=4)
         assert checks and all(c.passed for c in checks)
         assert calls and set(calls.values()) == {1}, calls
+
+
+class TestAvoidLanes:
+    """``verify._avoid_lanes`` decides a block of S_n at every r at once; it
+    must give ``_avoids``'s answer on every (w, r)."""
+
+    def test_equals_avoids_exhaustive(self):
+        for n in range(9):
+            every = list(permutations(range(1, n + 1)))
+            for start in range(0, len(every), 256):
+                chunk = every[start : start + 256]
+                assert splitpat.verify._avoid_lanes(chunk, n) == [
+                    bytes(_avoids(w, r) for w in chunk) for r in range(n + 1)
+                ], n
+
+    def test_equals_subset_oracle_exhaustive(self):
+        for n in range(7):
+            every = list(permutations(range(1, n + 1)))
+            assert splitpat.verify._avoid_lanes(every, n) == [
+                bytes(
+                    all(oracle_first_witness(Permutation(w), pattern, r) is None for pattern in PATTERNS)
+                    for w in every
+                )
+                for r in range(n + 1)
+            ], n
+
+    @given(
+        st.integers(0, 126).flatmap(
+            lambda n: st.tuples(st.just(n), st.lists(st.permutations(range(1, n + 1)).map(tuple), max_size=12))
+        )
+    )
+    @example((126, [tuple(range(1, 127)), tuple(range(126, 0, -1)), (63, *range(1, 63), *range(64, 127))]))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_avoids_up_to_the_lane_width(self, case):
+        # Values and the 127 sentinel fit a lane's low 7 bits up to n = 126.
+        n, chunk = case
+        assert splitpat.verify._avoid_lanes(chunk, n) == [
+            bytes(_avoids(w, r) for w in chunk) for r in range(n + 1)
+        ]
 
 
 class TestUsage:
