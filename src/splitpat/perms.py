@@ -289,8 +289,8 @@ def _witness_23_1(vals: tuple[int, ...], r: int) -> tuple[int, ...] | None:
 
 
 def _avoids(vals: tuple[int, ...], r: int) -> bool:
-    """Raw-tuple avoidance test behind ``is_avoider`` and the full S_n sweep
-    of ``verify.structure_checks``.
+    """Raw-tuple avoidance test behind ``is_avoider``, and the reference for
+    ``verify._avoid_lanes``, which the S_n sweep of the structure suite runs.
 
     w contains 3|12 at r iff two right-block values below max(left block)
     ascend, and contains 23|1 at r iff two left-block values above
