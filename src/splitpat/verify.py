@@ -121,7 +121,7 @@ def structure_checks(n_max: int, limit: int = DEFAULT_SEARCH_LIMIT) -> list[Chec
                 smaller = int.from_bytes(smaller_classes[r - 1], "little")
                 found["peel-left"] = all((int.from_bytes(b, "little") | smaller) == smaller for b in by_max[:r])
             if 0 < r < n:
-                right_min = suffix_min[r - 1]  # by parent
+                right_min = suffix_min[r - 1]  # min(w[r:]) of a max-left member, by parent
                 found["partition"] = Counter(chain.from_iterable(compress(right_min, b) for b in by_max[:r])) == {
                     i: comb(n - i - 1, r - i) * perm(r, i - 1) for i in range(1, r + 1)
                 }
